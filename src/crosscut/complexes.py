@@ -76,11 +76,7 @@ def face_complex(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> Si
 
 def clique_complex(vertices, adjacent) -> SimplicialComplex:
     """Complex whose faces are the cliques of the graph given by the predicate."""
-    vs = sorted(set(vertices))
-    neighbors = {
-        u: {v for v in vs if v != u and adjacent(u, v)} for u in vs
-    }
-    return SimplicialComplex(maximal_cliques(vs, neighbors))
+    return SimplicialComplex(maximal_cliques(vertices, adjacent))
 
 
 def _dominated_removal(facets: list[frozenset[int]]) -> int | None:
@@ -137,11 +133,8 @@ def coprime_free_collapsed(n: int) -> SimplicialComplex:
         if is_squarefree(i)
         and not any(is_squarefree(m) for m in range(2 * i, n + 1, i))
     ]
-    neighbors = {
-        u: {v for v in maximal_sf if v != u and gcd(u, v) > 1} for u in maximal_sf
-    }
-    faces = [frozenset([1])] + maximal_cliques(maximal_sf, neighbors)
-    return SimplicialComplex(faces)
+    cliques = maximal_cliques(maximal_sf, lambda u, v: gcd(u, v) > 1)
+    return SimplicialComplex([frozenset([1])] + cliques)
 
 
 def skeleton(c: SimplicialComplex, d: int) -> SimplicialComplex:

@@ -363,32 +363,19 @@ def small_count_closed_form(kind: FamilyKind, n: int, k: int) -> int:
 def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> list[BitSubset]:
     """Members with no one-element extension in the family, ascending by mask.
 
-    Coprime-free sets bypass subset enumeration entirely: the maximal members
-    are {1} plus the maximal cliques of the gcd>1 graph on [2..n], so the
-    construction scales to n in the hundreds.
+    The family is downward closed, so a member has an extension exactly when it
+    is a one-element deletion of another member. Coprime-free sets bypass subset
+    enumeration entirely: the maximal members are {1} plus the maximal cliques
+    of the gcd>1 graph on [2..n], so the construction scales to n in the hundreds.
     """
     if kind == COPRIME_FREE:
-        return _coprimefree_maximal(n)
+        cliques = maximal_cliques(range(2, n + 1), lambda u, v: math.gcd(u, v) > 1)
+        return sorted(BitSubset.from_elements(n, s) for s in [frozenset([1])] + cliques)
     all_members = members(kind, n, guard)
-    member_masks = {m.mask for m in all_members}
-    out = []
-    for m in all_members:
-        mask = m.mask
-        if all(mask >> i & 1 or (mask | 1 << i) not in member_masks for i in range(n)):
-            out.append(m)
-    return out
-
-
-def _coprimefree_maximal(n: int) -> list[BitSubset]:
-    verts = list(range(2, n + 1))
-    nbrs = {v: set() for v in verts}
-    for i in verts:
-        for j in verts:
-            if i < j and math.gcd(i, j) > 1:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    sets = [frozenset([1])] + maximal_cliques(verts, nbrs)
-    return sorted(BitSubset.from_elements(n, s) for s in sets)
+    masks = [m.mask for m in all_members]
+    bits = [1 << i for i in range(n)]
+    deletions = {mask ^ bit for mask in masks for bit in bits if mask & bit}
+    return [m for m, mask in zip(all_members, masks) if mask not in deletions]
 
 
 @dataclass(frozen=True)

@@ -159,15 +159,17 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
 
 
 def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:
+    # units are fixed points of the gcd/lcm pass (gcd(1, a) = 1, lcm(1, a) = a),
+    # so only the non-unit pivots go through it
     vals = sorted(abs(v) for v in pivots)
-    if all(v == 1 for v in vals):
-        return tuple(vals)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            a, b = vals[i], vals[j]
+    units = vals.count(1)
+    rest = vals[units:]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            a, b = rest[i], rest[j]
             g = gcd(a, b)
-            vals[i], vals[j] = g, a * b // g
-    return tuple(vals)
+            rest[i], rest[j] = g, a * b // g
+    return (1,) * units + tuple(rest)
 
 
 def smith_normal_form(m) -> tuple[tuple[int, ...], int]:

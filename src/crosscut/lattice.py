@@ -64,25 +64,21 @@ def _require_elements(lat: FamilyLattice, xs) -> None:
 
 
 def mobius(lat: FamilyLattice, x, y) -> int:
-    """mu(x,y) by the recursion mu(x,x)=1, mu(x,y) = -sum over x <= z < y of mu(x,z)."""
+    """mu(x,y) in closed form.
+
+    The family is downward closed, so every interval [x, y] below the top is
+    Boolean and mu(x,y) = (-1)^(|y|-|x|); mu(x,TOP) is then minus the sum of
+    those signs over the members containing x, one pass over the members.
+    """
     _require_elements(lat, [x, y])
     if not lat.leq(x, y):
         raise ValueError("mobius needs a comparable pair x <= y")
-    if x is y or (x is not TOP and y is not TOP and x.mask == y.mask):
+    if x is TOP:
         return 1
-    interval = [
-        z
-        for z in lat.members
-        if lat.leq(x, z) and lat.leq(z, y) and (y is TOP or z.mask != y.mask)
-    ]
-    interval.sort(key=lambda z: (len(z), z.mask))
-    mu: dict[int, int] = {}
-    for z in interval:
-        if z.mask == x.mask:
-            mu[z.mask] = 1
-        else:
-            mu[z.mask] = -sum(v for wmask, v in mu.items() if wmask & ~z.mask == 0)
-    return -sum(mu.values())
+    if y is not TOP:
+        return -1 if (len(y) - len(x)) & 1 else 1
+    k = len(x)
+    return -sum(-1 if (m.bit_count() - k) & 1 else 1 for m in lat._masks if x.mask & ~m == 0)
 
 
 def alt_sum(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> int:
@@ -128,7 +124,9 @@ def is_crosscut(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> bool:
 
 
 def is_spanning(lat: FamilyLattice, subset) -> bool:
-    """True iff the subset's meet is the bottom and its join is the top."""
+    """True iff the subset's meet is the bottom and its join is the top; the
+    family is downward closed, so the join is the top exactly when the union
+    is not a member."""
     elems = list(subset)
     if any(x is TOP for x in elems):
         raise ValueError("spanning test expects elements below the top")
@@ -140,9 +138,7 @@ def is_spanning(lat: FamilyLattice, subset) -> bool:
     for x in elems:
         meet &= x.mask
         union |= x.mask
-    if meet != 0:
-        return False
-    return not any(union & ~m.mask == 0 for m in lat.members)
+    return meet == 0 and union not in lat._masks
 
 
 def crosscut_complex(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> SimplicialComplex:

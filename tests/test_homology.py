@@ -89,6 +89,7 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[2, 0], [0, 3]]) == ((1, 6), 2)
     assert smith_normal_form([[2, 4], [4, 2]]) == ((2, 6), 2)
     assert smith_normal_form([[6]]) == ((6,), 1)
+    assert smith_normal_form([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == ((1, 1, 6), 3)
 
 
 def test_smith_normal_form_does_not_mutate():

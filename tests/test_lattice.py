@@ -81,8 +81,9 @@ def test_mobius_boolean_intervals():
 
 
 def test_mobius_dual_recursion():
-    # sum over x <= z <= y of mu(z, y) vanishes unless x = y
-    for kind in (PRIMITIVE, PRODUCT_FREE):
+    # sum over x <= z <= y of mu(z, y) vanishes unless x = y; this checks both
+    # closed-form branches (y a member, and y = TOP) against the definition
+    for kind in SMALL_KINDS:
         lat = FamilyLattice(kind, 5)
         elements = list(lat.members) + [TOP]
         for x in elements:
