@@ -280,15 +280,15 @@ def cmd_maximal(
     or its failure witness."""
     if n < 1:
         raise ValueError("need --n >= 1")
-    coatoms = families.maximal_members(kind, n, guard)
-    rows = [
-        (i, len(s), " ".join(str(e) for e in s.elements())) for i, s in enumerate(coatoms)
-    ]
     outcome = families.partition_components(kind, n, guard)
+    rows = [
+        (i, len(s), " ".join(str(e) for e in s.elements())) for i, s in enumerate(outcome.maximal)
+    ]
     if isinstance(outcome, Partition):
+        index = {s: i for i, s in enumerate(outcome.maximal)}
         comments = [f"partition into m={outcome.m} classes"]
         for i, cls in enumerate(outcome.classes):
-            indices = " ".join(str(coatoms.index(s)) for s in cls)
+            indices = " ".join(str(index[s]) for s in cls)
             comments.append(f"class {i}: coatoms {indices}")
     else:
         members = ", ".join(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 from . import numthy
 from .cliques import maximal_cliques
@@ -119,86 +121,94 @@ class BitSubset:
 # --- incremental extension rules ------------------------------------------------
 #
 # Every family here is downward closed, so each member is reachable by adding
-# elements in ascending order. A rule takes (state, elements so far, candidate x
-# with x > all elements) and returns the successor state, or _REJECT. The same
-# fold implements is_member, the counting DFS, and the lattice enumeration.
+# elements in ascending order, carrying a mask of the larger elements still
+# allowed. A rule over the possible elements (1..n, or a subset's own for
+# is_member) is (state, candidates, grow); grow(state, mask, x) adds x to the
+# member `mask` and returns the next state and the mask of elements x rules out,
+# or _REJECT. Tables fill per element on first use, so an early exit is cheap.
 
 _REJECT = object()
 
 
-def _rule_primitive(n: int):
-    def can_add(state, elems, x):
-        return None if all(x % a for a in elems) else _REJECT
-
-    return None, can_add
+def _mask(elements) -> int:
+    return sum(1 << (x - 1) for x in elements)
 
 
-def _rule_coprime(n: int):
-    def can_add(state, elems, x):
-        return None if all(math.gcd(a, x) == 1 for a in elems) else _REJECT
-
-    return None, can_add
+def _relation(universe, related):
+    """x -> the mask of the y in the universe with related(x, y)."""
+    return cache(lambda x: _mask(y for y in universe if related(x, y)))
 
 
-def _rule_productfree(n: int):
-    # state: frozenset of pair products <= n over elements so far (repeats allowed).
-    # x*a for a in the set always exceeds x once 1 is unreachable, so the only
-    # add-time checks are x != 1 and x not being a product of two present elements.
-    def can_add(state, elems, x):
-        if x == 1 or x in state:
-            return _REJECT
-        fresh = [x * a for a in elems if x * a <= n]
-        if x * x <= n:
-            fresh.append(x * x)
-        return state.union(fresh) if fresh else state
-
-    return frozenset(), can_add
+# x conflicts with a larger y in a fixed graph, so adding x forbids its neighbours.
+_CONFLICTS = {
+    "primitive": lambda x, y: y % x == 0,
+    "coprime": lambda x, y: math.gcd(x, y) > 1,
+    "coprimefree": lambda x, y: math.gcd(x, y) == 1,
+    "divisibilitychain": lambda x, y: y % x != 0,
+}
 
 
-def _rule_coprimefree(n: int):
-    def can_add(state, elems, x):
-        return None if all(math.gcd(a, x) > 1 for a in elems) else _REJECT
-
-    return None, can_add
+def _rule_pairwise(kind: FamilyKind, universe):
+    conflict = _relation(universe, _CONFLICTS[kind.name])
+    return None, _mask(universe), lambda state, mask, x: (None, conflict(x))
 
 
-def _rule_smultiple(n: int, s: int):
-    # state: per-element count of its multiples within the set, aligned with elems.
-    def can_add(state, elems, x):
-        bumped = []
-        for a, c in zip(elems, state):
-            if x % a == 0:
-                if c + 1 > s:
-                    return _REJECT
-                bumped.append(c + 1)
-            else:
-                bumped.append(c)
-        bumped.append(1)
-        return tuple(bumped)
+def _rule_productfree(kind: FamilyKind, universe):
+    # Adding x forbids x*a <= n for a in the set or a = x; 1 is never allowed.
+    n = max(universe, default=0)
 
-    return (), can_add
+    def grow(state, mask, x):
+        forbid = 0
+        small = (mask | 1 << (x - 1)) & ((1 << n // x) - 1)
+        while small:
+            bit = small & -small
+            small ^= bit
+            forbid |= 1 << (x * bit.bit_length() - 1)
+        return None, forbid
+
+    return None, _mask(universe) & ~1, grow
 
 
-def _rule_distinctpairproducts(n: int):
-    # state: products over unordered pairs of distinct elements. Two distinct
-    # pairs with a shared element cannot collide, so injectivity of this set is
-    # exactly the defining condition on four distinct elements.
-    def can_add(state, elems, x):
-        fresh = []
+def _rule_smultiple(kind: FamilyKind, universe):
+    # Once a divisor a of x in the set has s multiples there, x forbids the rest.
+    multiples = _relation(universe, lambda a, m: m % a == 0)
+    divisors = cache(lambda x: [(1 << (a - 1), multiples(a)) for a in universe if x % a == 0])
+
+    def grow(state, mask, x):
+        grown = mask | 1 << (x - 1)
+        forbid = 0
+        for bit, m in divisors(x):
+            if grown & bit and (grown & m).bit_count() == kind.s:
+                forbid |= m
+        return None, forbid
+
+    return None, _mask(universe), grow
+
+
+def _rule_distinctpairproducts(kind: FamilyKind, universe):
+    # state: (one bit per distinct product of two distinct elements so far, the
+    # elements). Pairs sharing an element cannot collide, so injectivity is the
+    # condition. Rows hold bit indices, not bits: O(k^2) memory for k elements.
+    index: dict[int, int] = {}
+    rows = cache(lambda x: {a: index.setdefault(x * a, len(index)) for a in universe if a < x})
+
+    def grow(state, mask, x):
+        products, elems = state
+        row = rows(x)
+        fresh = 0
         for a in elems:
-            p = x * a
-            if p in state:
-                return _REJECT
-            fresh.append(p)
-        return state.union(fresh) if fresh else state
+            fresh |= 1 << row[a]
+        if products & fresh:
+            return _REJECT
+        return (products | fresh, elems + (x,)), 0
 
-    return frozenset(), can_add
+    return (0, ()), _mask(universe), grow
 
 
-def _rule_nodivisorofpairproduct(n: int):
+def _rule_nodivisorofpairproduct(kind: FamilyKind, universe):
     # condition: for i,j,k in the set with i not in {j,k}, i does not divide j*k
-    # (j = k allowed).
-    def can_add(state, elems, x):
+    # (j = k allowed). state: the elements so far, ascending.
+    def grow(elems, mask, x):
         xx = x * x
         for i in elems:
             if xx % i == 0:
@@ -213,30 +223,18 @@ def _rule_nodivisorofpairproduct(n: int):
             for b in range(a, k):
                 if (elems[a] * elems[b]) % x == 0:
                     return _REJECT
-        return None
+        return elems + (x,), 0
 
-    return None, can_add
-
-
-def _rule_divisibilitychain(n: int):
-    def can_add(state, elems, x):
-        return None if not elems or x % elems[-1] == 0 else _REJECT
-
-    return None, can_add
+    return (), _mask(universe), grow
 
 
-def _extension_rule(kind: FamilyKind, n: int):
-    if kind.name == "smultiple":
-        return _rule_smultiple(n, kind.s)
-    return {
-        "primitive": _rule_primitive,
-        "coprime": _rule_coprime,
-        "productfree": _rule_productfree,
-        "coprimefree": _rule_coprimefree,
-        "distinctpairproducts": _rule_distinctpairproducts,
-        "nodivisorofpairproduct": _rule_nodivisorofpairproduct,
-        "divisibilitychain": _rule_divisibilitychain,
-    }[kind.name](n)
+_RULES = {
+    **dict.fromkeys(_CONFLICTS, _rule_pairwise),
+    "productfree": _rule_productfree,
+    "smultiple": _rule_smultiple,
+    "distinctpairproducts": _rule_distinctpairproducts,
+    "nodivisorofpairproduct": _rule_nodivisorofpairproduct,
+}
 
 
 def is_member(kind: FamilyKind, s: BitSubset) -> bool:
@@ -246,32 +244,38 @@ def is_member(kind: FamilyKind, s: BitSubset) -> bool:
     always belongs.
     """
     elems = s.elements()
-    bound = elems[-1] if elems else 1
-    state, can_add = _extension_rule(kind, bound)
-    prefix: tuple[int, ...] = ()
+    state, cand, grow = _RULES[kind.name](kind, elems)
+    mask = 0
     for x in elems:
-        state = can_add(state, prefix, x)
-        if state is _REJECT:
+        bit = 1 << (x - 1)
+        grown = _REJECT if not cand & bit else grow(state, mask, x)
+        if grown is _REJECT:
             return False
-        prefix += (x,)
+        state, forbid = grown
+        cand &= ~forbid
+        mask |= bit
     return True
 
 
 def _walk(kind: FamilyKind, n: int, visit) -> None:
-    """Depth-first traversal of all nonempty members, elements ascending."""
-    init, can_add = _extension_rule(kind, n)
+    """Call visit(mask, largest element, size) on every nonempty member, depth first."""
+    state, cand, grow = _RULES[kind.name](kind, range(1, n + 1))
 
-    def rec(elems, mask, state, start):
-        for x in range(start, n + 1):
-            nxt = can_add(state, elems, x)
-            if nxt is _REJECT:
+    def rec(state, mask, cand, k):
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            x = bit.bit_length()
+            grown = grow(state, mask, x)
+            if grown is _REJECT:
                 continue
-            grown = elems + (x,)
-            gmask = mask | 1 << (x - 1)
-            visit(grown, gmask)
-            rec(grown, gmask, nxt, x + 1)
+            child, forbid = grown
+            gmask = mask | bit
+            visit(gmask, x, k)
+            if rest := cand & ~forbid:
+                rec(child, gmask, rest, k + 1)
 
-    rec((), 0, init, 1)
+    rec(state, 0, cand, 1)
 
 
 def _check_guard(n: int, guard: int) -> None:
@@ -281,13 +285,13 @@ def _check_guard(n: int, guard: int) -> None:
         )
 
 
-def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> list[BitSubset]:
-    """Every member of the family within 2^[n], ascending by mask."""
+def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> list[int]:
+    """The mask of every member of the family within 2^[n], ascending."""
     _check_guard(n, guard)
     masks = [0]
-    _walk(kind, n, lambda elems, mask: masks.append(mask))
+    _walk(kind, n, lambda mask, x, k: masks.append(mask))
     masks.sort()
-    return [BitSubset(n, m) for m in masks]
+    return masks
 
 
 @dataclass(frozen=True)
@@ -323,8 +327,8 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
     _check_guard(n_max, guard)
     by_max = [[0] * (n_max + 1) for _ in range(n_max + 1)]
 
-    def visit(elems, mask):
-        by_max[elems[-1]][len(elems)] += 1
+    def visit(mask, x, k):
+        by_max[x][k] += 1
 
     _walk(kind, n_max, visit)
 
@@ -363,19 +367,20 @@ def small_count_closed_form(kind: FamilyKind, n: int, k: int) -> int:
 def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> list[BitSubset]:
     """Members with no one-element extension in the family, ascending by mask.
 
-    The family is downward closed, so a member has an extension exactly when it
-    is a one-element deletion of another member. Coprime-free sets bypass subset
+    One pass per element, largest first (most members extend by a large one),
+    drops the members that it extends. Coprime-free sets bypass subset
     enumeration entirely: the maximal members are {1} plus the maximal cliques
     of the gcd>1 graph on [2..n], so the construction scales to n in the hundreds.
     """
     if kind == COPRIME_FREE:
         cliques = maximal_cliques(range(2, n + 1), lambda u, v: math.gcd(u, v) > 1)
         return sorted(BitSubset.from_elements(n, s) for s in [frozenset([1])] + cliques)
-    all_members = members(kind, n, guard)
-    masks = [m.mask for m in all_members]
-    bits = [1 << i for i in range(n)]
-    deletions = {mask ^ bit for mask in masks for bit in bits if mask & bit}
-    return [m for m, mask in zip(all_members, masks) if mask not in deletions]
+    maximal = members(kind, n, guard)
+    found = set(maximal)
+    for i in reversed(range(n)):
+        bit = 1 << i
+        maximal = [m for m in maximal if m & bit or m | bit not in found]
+    return [BitSubset(n, m) for m in maximal]
 
 
 @dataclass(frozen=True)
@@ -383,6 +388,7 @@ class Partition:
     """Maximal members split into classes, each with nonempty total intersection."""
 
     classes: tuple[tuple[BitSubset, ...], ...]
+    maximal: tuple[BitSubset, ...]
 
     @property
     def m(self) -> int:
@@ -395,6 +401,7 @@ class FailureWitness:
 
     component: tuple[BitSubset, ...]
     pair: tuple[BitSubset, BitSubset] | None
+    maximal: tuple[BitSubset, ...]
 
 
 def partition_components(
@@ -405,10 +412,10 @@ def partition_components(
     Classes must be unions of components (cross-class disjointness) and
     intersecting sets must share a class, so the components are the only
     candidate partition; success is exactly per-component total intersection.
+    Either outcome carries every maximal member, ascending by mask.
     """
-    maximal = maximal_members(kind, n, guard)
-    count = len(maximal)
-    parent = list(range(count))
+    maximal = tuple(maximal_members(kind, n, guard))
+    parent = list(range(len(maximal)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -416,33 +423,22 @@ def partition_components(
             a = parent[a]
         return a
 
-    for i in range(count):
-        for j in range(i + 1, count):
-            if maximal[i].mask & maximal[j].mask:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
+    first: dict[int, int] = {}  # element -> index of the first member holding it
+    for i, s in enumerate(maximal):
+        for e in s.elements():
+            parent[find(i)] = find(first.setdefault(e, i))
+    groups: dict[int, list[int]] = {}  # in order of each component's first member
+    for i in range(len(maximal)):
         groups.setdefault(find(i), []).append(i)
-    components = sorted(groups.values(), key=lambda idxs: maximal[idxs[0]].mask)
 
     classes = []
-    for idxs in components:
-        total = maximal[idxs[0]].mask
-        for i in idxs[1:]:
-            total &= maximal[i].mask
+    for idxs in groups.values():
+        component = tuple(maximal[i] for i in idxs)
+        total = -1
+        for s in component:
+            total &= s.mask
         if total == 0:
-            component = tuple(maximal[i] for i in idxs)
-            pair = None
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    if maximal[idxs[a]].mask & maximal[idxs[b]].mask == 0:
-                        pair = (maximal[idxs[a]], maximal[idxs[b]])
-                        break
-                if pair:
-                    break
-            return FailureWitness(component, pair)
-        classes.append(tuple(maximal[i] for i in idxs))
-    return Partition(tuple(classes))
+            pair = next((p for p in combinations(component, 2) if not p[0].mask & p[1].mask), None)
+            return FailureWitness(component, pair, maximal)
+        classes.append(component)
+    return Partition(tuple(classes), maximal)

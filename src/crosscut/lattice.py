@@ -38,7 +38,7 @@ class FamilyLattice:
         self.kind = kind
         self.n = n
         self.guard = guard
-        self.members: list[BitSubset] = families.members(kind, n, guard)
+        self.members: list[BitSubset] = [BitSubset(n, m) for m in families.members(kind, n, guard)]
         self._masks = {m.mask for m in self.members}
         self.bottom = self.members[0]
 

@@ -154,6 +154,31 @@ def test_maximal_partition_report():
     assert "# class 1: coatoms 1 2" in lines
 
 
+def test_maximal_enumerates_members_once(monkeypatch):
+    calls = []
+    members = families.members
+
+    def counting(*args):
+        calls.append(args)
+        return members(*args)
+
+    monkeypatch.setattr(families, "members", counting)
+    code, text = cmd_maximal(families.PRODUCT_FREE, 10)
+    assert len(calls) == 1
+    assert code == 0
+    assert text == (
+        "index,size,elements\n"
+        "0,5,2 3 5 7 8\n"
+        "1,6,2 5 6 7 8 9\n"
+        "2,5,2 3 7 8 10\n"
+        "3,7,3 4 5 6 7 8 10\n"
+        "4,6,2 6 7 8 9 10\n"
+        "5,7,4 5 6 7 8 9 10\n"
+        "# partition into m=1 classes\n"
+        "# class 0: coatoms 0 1 2 3 4 5"
+    )
+
+
 def test_maximal_failure_witness():
     code, text = cmd_maximal(kind_from_name("coprimefree"), 10)
     assert code == 0

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosscut import families
+from crosscut import families, numthy
 from crosscut.families import (
     COPRIME_FREE,
     DISTINCT_PAIR_PRODUCTS,
@@ -30,8 +32,10 @@ ALL_KINDS = [
     DISTINCT_PAIR_PRODUCTS,
     NO_DIVISOR_OF_PAIR_PRODUCT,
     DIVISIBILITY_CHAIN,
+    s_multiple(1),
     s_multiple(2),
     s_multiple(3),
+    s_multiple(4),
 ]
 
 
@@ -99,15 +103,15 @@ def test_is_member_matches_oracle(kind):
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_members_match_oracle(kind):
     for n in range(1, 11):
-        got = {s.mask for s in families.members(kind, n)}
-        assert got == oracles.member_masks(kind.name, n, kind.s)
+        got = families.members(kind, n)
+        assert got == sorted(oracles.member_masks(kind.name, n, kind.s))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_downward_closure_exhaustive(kind):
     # removing any one element from a member must leave a member
     for n in (8, 12):
-        masks = {s.mask for s in families.members(kind, n)}
+        masks = set(families.members(kind, n))
         for mask in masks:
             m = mask
             while m:
@@ -118,9 +122,19 @@ def test_downward_closure_exhaustive(kind):
 
 def test_smultiple_one_is_primitivity():
     for n in range(1, 13):
-        a = [s.mask for s in families.members(s_multiple(1), n)]
-        b = [s.mask for s in families.members(PRIMITIVE, n)]
-        assert a == b
+        assert families.members(s_multiple(1), n) == families.members(PRIMITIVE, n)
+
+
+def test_smultiple_bound_at_least_n_admits_every_subset():
+    # s >= n never binds; s == n reaches the bound only at the full set
+    for s in (12, 13):
+        kind = s_multiple(s)
+        tri = families.count_triangle(kind, 12)
+        for n in range(1, 13):
+            assert tri.rows[n - 1] == tuple(math.comb(n, k) for k in range(n + 1))
+        assert families.members(kind, 8) == list(range(1 << 8))
+        assert [m.mask for m in families.maximal_members(kind, 8)] == [(1 << 8) - 1]
+        assert families.is_member(kind, BitSubset.from_elements(12, range(1, 13)))
 
 
 # --- count triangles ------------------------------------------------------------
@@ -215,7 +229,7 @@ def test_coprimefree_maximal_dual_route():
     # clique construction versus the generic one-element-extension filter
     for n in range(1, 15):
         clique_route = [s.mask for s in families.maximal_members(COPRIME_FREE, n)]
-        masks = {s.mask for s in families.members(COPRIME_FREE, n)}
+        masks = set(families.members(COPRIME_FREE, n))
         filter_route = sorted(
             m
             for m in masks
@@ -243,6 +257,7 @@ def test_partition_primitive_4():
     out = families.partition_components(PRIMITIVE, 4)
     assert isinstance(out, Partition)
     assert out.m == 2
+    assert list(out.maximal) == families.maximal_members(PRIMITIVE, 4)
     assert [[s.elements() for s in cls] for cls in out.classes] == [
         [(1,)],
         [(2, 3), (3, 4)],
@@ -264,6 +279,7 @@ def test_partition_thm4_families():
 def test_partition_witness_coprimefree_10():
     out = families.partition_components(COPRIME_FREE, 10)
     assert isinstance(out, FailureWitness)
+    assert list(out.maximal) == families.maximal_members(COPRIME_FREE, 10)
     a, b = out.pair
     assert (a.elements(), b.elements()) == ((3, 6, 9), (5, 10))
     assert a.mask & b.mask == 0
@@ -288,3 +304,29 @@ def test_is_member_sampled_against_oracle(kind, n, data):
     pred = oracles.oracle_predicate(kind.name, kind.s)
     got = families.is_member(kind, bits(n, mask))
     assert got == pred(oracles.mask_elements(n, mask))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from(ALL_KINDS),
+    st.integers(min_value=1, max_value=500),
+    st.lists(st.integers(min_value=1, max_value=6), max_size=5, unique=True),
+)
+def test_is_member_large_elements_against_oracle(kind, base, multipliers):
+    # multiples of one base give large elements that still divide and share
+    # factors; the fold's tables cover the subset's own elements, not 1..max
+    s = BitSubset.from_elements(3000, [base * m for m in multipliers])
+    pred = oracles.oracle_predicate(kind.name, kind.s)
+    assert families.is_member(kind, s) == pred(s.elements())
+
+
+def test_distinct_pair_products_many_elements():
+    # products of two distinct primes never repeat; 2 * 3p == 3 * 2p repeats
+    # one at the largest elements, so the fold runs through the whole subset
+    primes = numthy.sieve(2500).primes()[:300]
+    p = numthy.largest_prime_le(5000)
+    n = 3 * p
+    assert families.is_member(DISTINCT_PAIR_PRODUCTS, BitSubset.from_elements(n, primes))
+    clash = BitSubset.from_elements(n, primes + [2 * p, 3 * p])
+    assert not families.is_member(DISTINCT_PAIR_PRODUCTS, clash)
+    assert families.is_member(DISTINCT_PAIR_PRODUCTS, BitSubset.from_elements(n, primes + [3 * p]))
