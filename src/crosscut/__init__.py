@@ -3,13 +3,11 @@ integer reduced homology."""
 
 from .complexes import (
     SimplicialComplex,
-    clique_complex,
     coprime_free_collapsed,
     face_complex,
     faces_by_dimension,
     facet_nerve,
     nerve,
-    skeleton,
     strong_collapse,
 )
 from .families import (
@@ -39,20 +37,17 @@ from .families import (
 from .homology import (
     BoundaryMatrix,
     HomologyGroup,
-    betti_zero_fast,
     boundary_matrix,
     euler_check,
     reduced_homology,
     smith_normal_form,
 )
-from .lattice import TOP, FamilyLattice, alt_sum, crosscut_complex, is_crosscut, is_spanning, mobius
+from .lattice import TOP, FamilyLattice, crosscut_complex, is_crosscut, is_spanning, mobius
 from .numthy import (
     PrimeSieve,
     chebyshev_count,
     divisor_count,
     is_squarefree,
-    largest_prime_le,
-    prime_support,
     sieve,
     totient,
 )

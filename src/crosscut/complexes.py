@@ -1,5 +1,5 @@
-"""Finite abstract simplicial complexes: nerves, face and clique complexes,
-strong collapse, and the reduced model of the pairwise-non-coprime complex."""
+"""Finite abstract simplicial complexes: nerves, face complexes, strong
+collapse, and the reduced model of the pairwise-non-coprime complex."""
 
 from __future__ import annotations
 
@@ -74,11 +74,6 @@ def face_complex(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> Si
     return SimplicialComplex([f.elements() for f in facets])
 
 
-def clique_complex(vertices, adjacent) -> SimplicialComplex:
-    """Complex whose faces are the cliques of the graph given by the predicate."""
-    return SimplicialComplex(maximal_cliques(vertices, adjacent))
-
-
 def _dominated_removal(facets: list[frozenset[int]]) -> int | None:
     """Find a vertex to delete: the smallest dominated vertex, except that under
     mutual domination the larger of the pair is deleted."""
@@ -112,8 +107,6 @@ def facet_nerve(c: SimplicialComplex) -> SimplicialComplex:
     the nerve carries the homotopy type; it is the model of choice when the
     facets are few but too large to expand face by face.
     """
-    if not c.facets:
-        return SimplicialComplex([])
     return nerve(c.facets)
 
 
@@ -123,7 +116,8 @@ def coprime_free_collapsed(n: int) -> SimplicialComplex:
     In the full complex a vertex is dominated exactly when its set of prime
     divisors is contained in another vertex's, so one collapse pass keeps 1 and
     the squarefree numbers with no squarefree proper multiple <= n; faces among
-    the survivors are still the pairwise-non-coprime sets.
+    the survivors are still the pairwise-non-coprime sets, and 1, coprime to
+    everything, is a clique of its own.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -133,21 +127,7 @@ def coprime_free_collapsed(n: int) -> SimplicialComplex:
         if is_squarefree(i)
         and not any(is_squarefree(m) for m in range(2 * i, n + 1, i))
     ]
-    cliques = maximal_cliques(maximal_sf, lambda u, v: gcd(u, v) > 1)
-    return SimplicialComplex([frozenset([1])] + cliques)
-
-
-def skeleton(c: SimplicialComplex, d: int) -> SimplicialComplex:
-    """Subcomplex of faces of dimension at most d."""
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
-    faces = []
-    for f in c.facets:
-        if len(f) <= d + 1:
-            faces.append(f)
-        else:
-            faces.extend(frozenset(t) for t in combinations(sorted(f), d + 1))
-    return SimplicialComplex(faces)
+    return SimplicialComplex(maximal_cliques([1, *maximal_sf], lambda u, v: gcd(u, v) > 1))
 
 
 def faces_by_dimension(c: SimplicialComplex, d_max: int) -> list[list[tuple[int, ...]]]:

@@ -106,7 +106,13 @@ class BitSubset:
         return cls(n, mask)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
+        out = []
+        rest = self.mask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            out.append(bit.bit_length())
+        return tuple(out)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -364,23 +370,30 @@ def small_count_closed_form(kind: FamilyKind, n: int, k: int) -> int:
     raise ValueError(f"no closed form for ({kind.label()}, k={k})")
 
 
+def _maximal_masks(masks: list[int], n: int) -> list[int]:
+    """The masks with no one-element extension among them, in their given order.
+
+    One pass per element, largest first (most members extend by a large one),
+    drops the masks that it extends.
+    """
+    found = set(masks)
+    for i in reversed(range(n)):
+        bit = 1 << i
+        masks = [m for m in masks if m & bit or m | bit not in found]
+    return masks
+
+
 def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> list[BitSubset]:
     """Members with no one-element extension in the family, ascending by mask.
 
-    One pass per element, largest first (most members extend by a large one),
-    drops the members that it extends. Coprime-free sets bypass subset
-    enumeration entirely: the maximal members are {1} plus the maximal cliques
-    of the gcd>1 graph on [2..n], so the construction scales to n in the hundreds.
+    Coprime-free sets bypass subset enumeration entirely: the maximal members
+    are the maximal cliques of the gcd>1 graph on [1..n], where 1 is isolated,
+    so the construction scales to n in the hundreds.
     """
     if kind == COPRIME_FREE:
-        cliques = maximal_cliques(range(2, n + 1), lambda u, v: math.gcd(u, v) > 1)
-        return sorted(BitSubset.from_elements(n, s) for s in [frozenset([1])] + cliques)
-    maximal = members(kind, n, guard)
-    found = set(maximal)
-    for i in reversed(range(n)):
-        bit = 1 << i
-        maximal = [m for m in maximal if m & bit or m | bit not in found]
-    return [BitSubset(n, m) for m in maximal]
+        cliques = maximal_cliques(range(1, n + 1), lambda u, v: math.gcd(u, v) > 1)
+        return sorted(BitSubset.from_elements(n, s) for s in cliques)
+    return [BitSubset(n, m) for m in _maximal_masks(members(kind, n, guard), n)]
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,20 @@ Face = tuple[int, ...]
 
 @dataclass(eq=True)
 class BoundaryMatrix:
-    """Matrix of d_d: rows index (d-1)-faces, columns index d-faces, entries in
-    {-1,0,+1}; for d=0 the single row () is the augmentation."""
+    """Matrix of d_d: rows index (d-1)-faces, columns index d-faces, and
+    columns[j][i] is the nonzero entry (+-1) in row i of column j; for d=0 the
+    single row () is the augmentation."""
 
     dim: int
     rows: tuple[Face, ...]
     cols: tuple[Face, ...]
-    entries: dict[tuple[int, int], int] = field(repr=False)
+    columns: dict[int, dict[int, int]] = field(repr=False)
 
     def to_dense(self) -> list[list[int]]:
         m = [[0] * len(self.cols) for _ in self.rows]
-        for (i, j), v in self.entries.items():
-            m[i][j] = v
+        for j, col in self.columns.items():
+            for i, v in col.items():
+                m[i][j] = v
         return m
 
 
@@ -41,36 +43,26 @@ class HomologyGroup:
     torsion: tuple[int, ...] = ()
 
 
-def _boundary_entries(rows: list[Face], cols: list[Face]) -> dict[tuple[int, int], int]:
+def _boundary(rows: list[Face], cols: list[Face]) -> dict[int, dict[int, int]]:
+    """{col: {row: sign}}; the face omitting position k has sign (-1)^k. Columns
+    ascend and each column's rows follow k, the order _pivot_values takes its
+    unit pivots in, so this order sets the fill-in."""
     index = {f: i for i, f in enumerate(rows)}
-    entries: dict[tuple[int, int], int] = {}
-    for j, sigma in enumerate(cols):
-        if len(sigma) == 1:
-            entries[index[()], j] = 1
-            continue
-        for k in range(len(sigma)):
-            tau = sigma[:k] + sigma[k + 1 :]
-            entries[index[tau], j] = -1 if k & 1 else 1
-    return entries
+    return {
+        j: {index[sigma[:k] + sigma[k + 1 :]]: -1 if k & 1 else 1 for k in range(len(sigma))}
+        for j, sigma in enumerate(cols)
+    }
 
 
 def boundary_matrix(c: SimplicialComplex, d: int) -> BoundaryMatrix:
-    """Boundary map from d-faces to (d-1)-faces; the omitted-vertex position sets
-    the sign (-1)^position."""
+    """Boundary map from d-faces to (d-1)-faces, built as reduced_homology
+    builds it; the omitted-vertex position sets the sign (-1)^position."""
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
     levels = faces_by_dimension(c, d)
     rows = [()] if d == 0 else levels[d - 1]
     cols = levels[d]
-    return BoundaryMatrix(d, tuple(rows), tuple(cols), _boundary_entries(rows, cols))
-
-
-def _columns(entries: dict[tuple[int, int], int]) -> dict[int, dict[int, int]]:
-    cols: dict[int, dict[int, int]] = {}
-    for (i, j), v in entries.items():
-        if v:
-            cols.setdefault(j, {})[i] = v
-    return cols
+    return BoundaryMatrix(d, tuple(rows), tuple(cols), _boundary(rows, cols))
 
 
 def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
@@ -194,7 +186,7 @@ def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:
     chains: list[tuple[int, ...]] = []
     for d in range(d_max + 2):
         rows = [()] if d == 0 else levels[d - 1]
-        pivots = _pivot_values(_columns(_boundary_entries(rows, levels[d])))
+        pivots = _pivot_values(_boundary(rows, levels[d]))
         ranks.append(len(pivots))
         chains.append(_divisibility_chain(pivots))
     out = []
@@ -203,26 +195,6 @@ def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:
         torsion = tuple(v for v in chains[d + 1] if v > 1)
         out.append(HomologyGroup(rank, torsion))
     return out
-
-
-def betti_zero_fast(c: SimplicialComplex) -> int:
-    """Reduced Betti number in dimension 0: facet-graph components minus one."""
-    if not c.facets:
-        return 0
-    parent = {v: v for v in c.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for f in c.facets:
-        it = iter(sorted(f))
-        root = find(next(it))
-        for v in it:
-            parent[find(v)] = root
-    return len({find(v) for v in c.vertices}) - 1
 
 
 def euler_check(c: SimplicialComplex, d_max: int) -> bool:

@@ -1,4 +1,4 @@
-"""Family lattices: Mobius function, cross-cuts, spanning subsets, alternating sums.
+"""Family lattices: Mobius function, cross-cuts, spanning subsets.
 
 The lattice on a downward-closed family is graded by cardinality (covers add one
 element), meet is intersection, and the join of a subset is the least member
@@ -37,7 +37,6 @@ class FamilyLattice:
     def __init__(self, kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD):
         self.kind = kind
         self.n = n
-        self.guard = guard
         self.members: list[BitSubset] = [BitSubset(n, m) for m in families.members(kind, n, guard)]
         self._masks = {m.mask for m in self.members}
         self.bottom = self.members[0]
@@ -54,7 +53,8 @@ class FamilyLattice:
 
     def coatoms(self) -> list[BitSubset]:
         """The maximal members: exactly the elements covered by the top."""
-        return families.maximal_members(self.kind, self.n, self.guard)
+        masks = families._maximal_masks([m.mask for m in self.members], self.n)
+        return [BitSubset(self.n, m) for m in masks]
 
 
 def _require_elements(lat: FamilyLattice, xs) -> None:
@@ -79,11 +79,6 @@ def mobius(lat: FamilyLattice, x, y) -> int:
         return -1 if (len(y) - len(x)) & 1 else 1
     k = len(x)
     return -sum(-1 if (m.bit_count() - k) & 1 else 1 for m in lat._masks if x.mask & ~m == 0)
-
-
-def alt_sum(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> int:
-    """Alternating sum over cardinalities, k=0 included: sum of (-1)^k F_{n,k}."""
-    return families.count_triangle(kind, n, guard).alternating_sum(n)
 
 
 def is_crosscut(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> bool:

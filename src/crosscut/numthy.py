@@ -1,4 +1,4 @@
-"""Elementary number-theoretic primitives: sieve, divisor counts, totients, prime supports."""
+"""Elementary number-theoretic primitives: sieve, divisor counts, totients, squarefreeness."""
 
 from __future__ import annotations
 
@@ -61,24 +61,6 @@ def totient(i: int) -> int:
     return result
 
 
-def prime_support(i: int) -> frozenset[int]:
-    """Set of distinct primes dividing i; empty for i = 1."""
-    if i < 1:
-        raise ValueError("prime_support needs a positive integer")
-    support = []
-    m = i
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            support.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        support.append(m)
-    return frozenset(support)
-
-
 def is_squarefree(i: int) -> bool:
     """True iff no prime square divides i."""
     if i < 1:
@@ -101,14 +83,3 @@ def chebyshev_count(n: int) -> int:
     table = PrimeSieve(n).is_prime
     # strict bound n/2 < p done in integers as 2p > n
     return sum(1 for p in range(2, n + 1) if table[p] and 2 * p > n)
-
-
-def largest_prime_le(n: int) -> int:
-    """The largest prime <= n; satisfies 2p > n."""
-    if n < 2:
-        raise ValueError("largest_prime_le needs n >= 2")
-    table = PrimeSieve(n).is_prime
-    for p in range(n, 1, -1):
-        if table[p]:
-            return p
-    raise AssertionError("unreachable: 2 is prime")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -17,10 +18,12 @@ from crosscut.cli import (
     parse_bfile,
 )
 from crosscut.families import kind_from_name
+from crosscut.lattice import FamilyLattice
 
 import oracles
 
-DATA = Path(__file__).parent.parent / "data" / "oeis"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data" / "oeis"
 PRIMITIVE = kind_from_name("primitive")
 
 
@@ -163,6 +166,9 @@ def test_maximal_enumerates_members_once(monkeypatch):
         return members(*args)
 
     monkeypatch.setattr(families, "members", counting)
+    assert len(FamilyLattice(families.PRODUCT_FREE, 10).coatoms()) == 6
+    assert len(calls) == 1
+    calls.clear()
     code, text = cmd_maximal(families.PRODUCT_FREE, 10)
     assert len(calls) == 1
     assert code == 0
@@ -177,6 +183,22 @@ def test_maximal_enumerates_members_once(monkeypatch):
         "# partition into m=1 classes\n"
         "# class 0: coatoms 0 1 2 3 4 5"
     )
+
+
+# perfbench's digests.json pins the stdout of every benchmark step; mobius steps
+# are library calls, and test_criterion_6 already pins the scan-h2 rows
+RECORDED = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "step", [key for key in sorted(RECORDED) if key.split()[0] not in ("mobius", "scan-h2")]
+)
+def test_cli_output_matches_recorded_digest(step, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)  # b-file paths are relative to the repository root
+    code = main(step.split())
+    out = capsys.readouterr().out
+    assert code == RECORDED[step]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == RECORDED[step]["sha256"]
 
 
 def test_maximal_failure_witness():

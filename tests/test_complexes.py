@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosscut import families
+from crosscut.cliques import maximal_cliques
 from crosscut.complexes import (
     SimplicialComplex,
-    clique_complex,
     coprime_free_collapsed,
     face_complex,
     faces_by_dimension,
     facet_nerve,
     nerve,
-    skeleton,
     strong_collapse,
 )
 from crosscut.families import COPRIME_FREE, PRIMITIVE, PRODUCT_FREE, s_multiple
@@ -117,12 +116,12 @@ def test_face_complex_of_empty_family_is_void():
 
 
 def test_clique_complex():
-    c = clique_complex([1, 2, 3, 4], lambda u, v: u + v != 5)
+    c = SimplicialComplex(maximal_cliques([1, 2, 3, 4], lambda u, v: u + v != 5))
     # edges 12,13,24,34 missing 14 and 23: two triangles would need those
     assert {tuple(sorted(f)) for f in c.facets} == {(1, 2), (1, 3), (2, 4), (3, 4)}
-    d = clique_complex([1, 2, 3], lambda u, v: True)
+    d = SimplicialComplex(maximal_cliques([1, 2, 3], lambda u, v: True))
     assert d.facets == (frozenset({1, 2, 3}),)
-    e = clique_complex([1, 2], lambda u, v: False)
+    e = SimplicialComplex(maximal_cliques([1, 2], lambda u, v: False))
     assert {tuple(sorted(f)) for f in e.facets} == {(1,), (2,)}
 
 
@@ -199,19 +198,6 @@ def test_coprime_free_collapsed_matches_face_complex_homology():
         full = face_complex(COPRIME_FREE, n)
         d = min(max(full.dim, 0), 2)
         assert reduced_homology(reduced, d) == reduced_homology(full, d), n
-
-
-def test_skeleton():
-    g = skeleton(OCTAHEDRON, 1)
-    assert [len(level) for level in faces_by_dimension(g, 1)] == [6, 12]
-    assert g.dim == 1
-    assert skeleton(OCTAHEDRON, 0).facets == tuple(
-        frozenset([v]) for v in OCTAHEDRON.vertices
-    )
-    assert skeleton(OCTAHEDRON, 2) == OCTAHEDRON
-    assert skeleton(OCTAHEDRON, 5) == OCTAHEDRON
-    with pytest.raises(ValueError):
-        skeleton(OCTAHEDRON, -1)
 
 
 def test_faces_by_dimension():

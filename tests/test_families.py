@@ -71,6 +71,7 @@ def test_bitsubset_basics():
     assert len(s) == 2
     assert 2 in s and 5 in s and 3 not in s and 7 not in s
     assert repr(s) == "{2,5}"
+    assert BitSubset.from_elements(100000, [2, 99999, 100000]).elements() == (2, 99999, 100000)
     with pytest.raises(ValueError):
         BitSubset.from_elements(4, [5])
     with pytest.raises(ValueError):
@@ -80,10 +81,11 @@ def test_bitsubset_basics():
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.integers(min_value=1, max_value=20), st.data())
+@given(st.integers(min_value=1, max_value=200), st.data())
 def test_bitsubset_roundtrip(n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     s = bits(n, mask)
+    assert s.elements() == oracles.mask_elements(n, mask)
     assert BitSubset.from_elements(n, s.elements()).mask == mask
     assert len(s) == len(s.elements())
 
@@ -324,7 +326,7 @@ def test_distinct_pair_products_many_elements():
     # products of two distinct primes never repeat; 2 * 3p == 3 * 2p repeats
     # one at the largest elements, so the fold runs through the whole subset
     primes = numthy.sieve(2500).primes()[:300]
-    p = numthy.largest_prime_le(5000)
+    p = numthy.sieve(5000).primes()[-1]
     n = 3 * p
     assert families.is_member(DISTINCT_PAIR_PRODUCTS, BitSubset.from_elements(n, primes))
     clash = BitSubset.from_elements(n, primes + [2 * p, 3 * p])

@@ -11,6 +11,7 @@ from crosscut.families import (
     BitSubset,
     EnumerationGuardError,
     Partition,
+    count_triangle,
     maximal_members,
     partition_components,
     s_multiple,
@@ -19,7 +20,6 @@ from crosscut.lattice import (
     TOP,
     FamilyLattice,
     _Top,
-    alt_sum,
     crosscut_complex,
     is_crosscut,
     is_spanning,
@@ -53,6 +53,13 @@ def test_lattice_basics():
     assert lat.leq(lat.bottom, TOP)
     assert not lat.leq(TOP, lat.bottom)
     assert [s.elements() for s in lat.coatoms()] == [(1,), (2, 3), (3, 4)]
+
+
+def test_coatoms_are_maximal_members():
+    # coatoms filter the lattice's own masks; coprime-free maximal members are cliques
+    for kind in SMALL_KINDS:
+        for n in range(1, 11):
+            assert FamilyLattice(kind, n).coatoms() == maximal_members(kind, n), (kind.label(), n)
 
 
 def test_mobius_examples():
@@ -104,17 +111,17 @@ def test_alt_sum_matches_brute_force():
                 (-1) ** k * c
                 for k, c in enumerate(oracles.counts_by_size(kind.name, n, kind.s))
             )
-            assert alt_sum(kind, n) == want
+            assert count_triangle(kind, n).alternating_sum(n) == want
 
 
 def test_alt_sum_known_values():
-    assert [alt_sum(PRIMITIVE, n) for n in range(2, 13)] == [-1] * 11
-    assert [alt_sum(PAIRWISE_COPRIME, n) for n in range(2, 13)] == [0] * 11
-    assert [alt_sum(PRODUCT_FREE, n) for n in range(2, 13)] == [0] * 11
-    assert alt_sum(s_multiple(2), 4) == 2
-    assert alt_sum(s_multiple(3), 6) == -6
+    for kind, value in ((PRIMITIVE, -1), (PAIRWISE_COPRIME, 0), (PRODUCT_FREE, 0)):
+        tri = count_triangle(kind, 12)
+        assert [tri.alternating_sum(n) for n in range(2, 13)] == [value] * 11
+    assert count_triangle(s_multiple(2), 4).alternating_sum(4) == 2
+    assert count_triangle(s_multiple(3), 6).alternating_sum(6) == -6
     # the k=0 term is included: dropping the empty set would shift all of these
-    assert alt_sum(PRIMITIVE, 2) == -1
+    assert count_triangle(PRIMITIVE, 2).alternating_sum(2) == -1
 
 
 def test_alt_sum_equals_one_minus_m():
@@ -123,7 +130,7 @@ def test_alt_sum_equals_one_minus_m():
         for n in range(2, 11):
             out = partition_components(kind, n)
             if isinstance(out, Partition):
-                assert alt_sum(kind, n) == 1 - out.m, (kind.label(), n)
+                assert count_triangle(kind, n).alternating_sum(n) == 1 - out.m, (kind.label(), n)
 
 
 def test_is_crosscut():

@@ -35,12 +35,6 @@ def test_totient_exhaustive():
         assert numthy.totient(i) == want
 
 
-def test_prime_support_examples():
-    assert numthy.prime_support(1) == frozenset()
-    assert numthy.prime_support(12) == frozenset({2, 3})
-    assert numthy.prime_support(143) == frozenset({11, 13})
-
-
 def test_is_squarefree_exhaustive():
     for i in range(1, 2001):
         want = all(i % (d * d) for d in range(2, int(i**0.5) + 1))
@@ -62,16 +56,8 @@ def test_chebyshev_count_brute():
         assert numthy.chebyshev_count(n) == want
 
 
-def test_largest_prime_le():
-    assert numthy.largest_prime_le(10) == 7
-    assert numthy.largest_prime_le(2) == 2
-    assert numthy.largest_prime_le(143) == 139
-    with pytest.raises(ValueError):
-        numthy.largest_prime_le(1)
-
-
 def test_domain_errors():
-    for fn in (numthy.divisor_count, numthy.totient, numthy.prime_support, numthy.is_squarefree):
+    for fn in (numthy.divisor_count, numthy.totient, numthy.is_squarefree):
         with pytest.raises(ValueError):
             fn(0)
     with pytest.raises(ValueError):
@@ -84,15 +70,3 @@ def test_totient_multiplicative_sample(i):
     # sum of phi(d) over divisors d of i equals i
     divisors = [d for d in range(1, i + 1) if i % d == 0]
     assert sum(numthy.totient(d) for d in divisors) == i
-
-
-@settings(deadline=None, max_examples=80)
-@given(st.integers(min_value=2, max_value=10_000))
-def test_prime_support_product_sample(i):
-    support = numthy.prime_support(i)
-    assert all(i % p == 0 for p in support)
-    rest = i
-    for p in support:
-        while rest % p == 0:
-            rest //= p
-    assert rest == 1
