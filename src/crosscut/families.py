@@ -263,9 +263,11 @@ def is_member(kind: FamilyKind, s: BitSubset) -> bool:
     return True
 
 
-def _walk(kind: FamilyKind, n: int, visit) -> None:
-    """Call visit(mask, largest element, size) on every nonempty member, depth first."""
+def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0) -> None:
+    """Call visit(mask, largest element, size) on every nonempty member that
+    avoids the elements in the mask `avoid`, depth first."""
     state, cand, grow = _RULES[kind.name](kind, range(1, n + 1))
+    cand &= ~avoid
 
     def rec(state, mask, cand, k):
         while cand:
@@ -322,29 +324,66 @@ class CountTriangle:
         return sum(c if k % 2 == 0 else -c for k, c in enumerate(self.rows[n - 1]))
 
 
+# A prime p with n/2 < p <= n divides no other element of [n], and p*a > n for
+# every a >= 2. In these families no such prime takes part in a violation, so a
+# member plus any set of them is a member:
+_FREE_PRIME_FAMILIES = frozenset(
+    [
+        "coprime",  # gcd(p, y) = 1 for every other y
+        "productfree",  # p is no product a*b of elements >= 2, and 1 is never admitted
+        "distinctpairproducts",  # p*a = c*d forces p in {c, d}, so the pairs are equal
+    ]
+)
+
+
+def _free_primes(kind: FamilyKind, n: int) -> list[int]:
+    return numthy.chebyshev_primes(n) if kind.name in _FREE_PRIME_FAMILIES else []
+
+
+def _add_free(by_max: list[list[int]], free: list[int]) -> list[list[int]]:
+    """The (max element, size) histogram of members once every subset of the
+    free primes is added to each member counted in by_max."""
+    out = [[0] * len(row) for row in by_max]
+    for m, row in enumerate(by_max):
+        below = sum(1 for f in free if f < m)
+        for k, c in enumerate(row):
+            if not c:
+                continue
+            # the largest element stays m, or becomes the i-th free prime f > m
+            for j in range(below + 1):
+                out[m][k + j] += c * math.comb(below, j)
+            for i, f in enumerate(free):
+                if f > m:
+                    for j in range(i + 1):
+                        out[f][k + 1 + j] += c * math.comb(i, j)
+    return out
+
+
 def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD) -> CountTriangle:
     """The full (n,k) triangle for 1 <= n <= n_max by exhaustive member enumeration.
 
     One DFS pass aggregates members by (max element, cardinality); row n is the
-    cumulative sum over max <= n, plus the empty set at k=0.
+    cumulative sum over max <= n. The walk skips the free primes of
+    _FREE_PRIME_FAMILIES, and binomial coefficients add them back.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     _check_guard(n_max, guard)
     by_max = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    by_max[0][0] = 1  # the empty set
 
     def visit(mask, x, k):
         by_max[x][k] += 1
 
-    _walk(kind, n_max, visit)
+    free = _free_primes(kind, n_max)
+    _walk(kind, n_max, visit, _mask(free))
+    by_max = _add_free(by_max, free)
 
     rows = []
-    acc = [0] * (n_max + 1)
+    acc = by_max[0]
     for n in range(1, n_max + 1):
-        fresh = by_max[n]
-        for k in range(n_max + 1):
-            acc[k] += fresh[k]
-        rows.append((1,) + tuple(acc[1 : n + 1]))
+        acc = [a + b for a, b in zip(acc, by_max[n])]
+        rows.append(tuple(acc[: n + 1]))
     return CountTriangle(kind, n_max, tuple(rows))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class PrimeSieve:
     """Immutable primality table for 0..limit."""
@@ -14,7 +16,7 @@ class PrimeSieve:
         table = bytearray([1]) * (limit + 1)
         table[0] = 0
         table[1] = 0
-        for p in range(2, int(limit**0.5) + 1):
+        for p in range(2, math.isqrt(limit) + 1):
             if table[p]:
                 table[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
         self.limit = limit
@@ -76,10 +78,15 @@ def is_squarefree(i: int) -> bool:
     return True
 
 
+def chebyshev_primes(n: int) -> list[int]:
+    """The primes p with n/2 < p <= n, ascending; each divides no other element of [n]."""
+    table = PrimeSieve(n).is_prime
+    # strict bound n/2 < p done in integers as p >= n // 2 + 1
+    return [p for p in range(n // 2 + 1, n + 1) if table[p]]
+
+
 def chebyshev_count(n: int) -> int:
     """C(n): number of primes p with n/2 < p <= n; >= 1 for n >= 2."""
     if n < 2:
         raise ValueError("chebyshev_count needs n >= 2")
-    table = PrimeSieve(n).is_prime
-    # strict bound n/2 < p done in integers as 2p > n
-    return sum(1 for p in range(2, n + 1) if table[p] and 2 * p > n)
+    return len(chebyshev_primes(n))

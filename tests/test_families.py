@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,61 @@ def test_count_triangle_matches_frozen_tables(kind, table):
         for k, want in enumerate(row):
             got = tri.count(n, k) if k <= n else 0
             assert got == want, (kind.label(), n, k)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_count_triangle_fold_matches_full_walk(kind):
+    # every n_max to 20 (11..20 fold 2-4 free primes back in); members walks them all
+    for n in range(1, 21):
+        sizes = [0] * (n + 1)
+        for mask in families.members(kind, n):
+            sizes[mask.bit_count()] += 1
+        assert families.count_triangle(kind, n).rows[n - 1] == tuple(sizes), n
+
+
+def _free_prime_additions(kind, n):
+    """Each (member avoiding the primes in (n/2, n], nonempty set of those primes,
+    whether their union is a member by the oracle predicate)."""
+    free = numthy.chebyshev_primes(n)
+    free_mask = sum(1 << (p - 1) for p in free)
+    pred = oracles.oracle_predicate(kind.name, kind.s)
+    for mask in families.members(kind, n):
+        if mask & free_mask:
+            continue
+        elems = oracles.mask_elements(n, mask)
+        for r in range(1, len(free) + 1):
+            for extra in combinations(free, r):
+                yield elems, extra, pred(elems + extra)
+
+
+FOLDED_KINDS = [k for k in ALL_KINDS if families._free_primes(k, 14)]
+UNFOLDED_KINDS = [k for k in ALL_KINDS if k not in FOLDED_KINDS]
+
+
+def test_folded_kinds():
+    assert FOLDED_KINDS == [PAIRWISE_COPRIME, PRODUCT_FREE, DISTINCT_PAIR_PRODUCTS]
+
+
+@pytest.mark.parametrize("kind", FOLDED_KINDS, ids=lambda k: k.label())
+def test_free_primes_sound(kind):
+    # the fold is exact iff a member plus any set of the free primes is a member
+    for n in range(2, 15):
+        assert families._free_primes(kind, n) == numthy.chebyshev_primes(n)
+        for elems, extra, ok in _free_prime_additions(kind, n):
+            assert ok, (n, elems, extra)
+
+
+@pytest.mark.parametrize("kind", UNFOLDED_KINDS, ids=lambda k: k.label())
+def test_unfolded_families_have_witness(kind):
+    # each family left on the plain walk has a member that some free prime breaks;
+    # where 1 is the only element a prime p > n/2 interacts with, 1 is in it
+    witnesses = [(e, x) for e, x, ok in _free_prime_additions(kind, 14) if not ok]
+    assert witnesses
+    if kind.name in ("primitive", "smultiple", "nodivisorofpairproduct"):
+        assert all(1 in elems for elems, _ in witnesses)
+        # {1, p}, or for smultiple(s) 1 with s multiples of it, one of them free
+        smallest = min(len(elems) + len(extra) for elems, extra in witnesses)
+        assert smallest == (kind.s + 1 if kind.name == "smultiple" else 2)
 
 
 def test_count_triangle_accessors():

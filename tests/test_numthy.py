@@ -14,6 +14,10 @@ def test_sieve_matches_trial_division():
     assert numthy.sieve(2).primes() == [2]
     assert numthy.sieve(1).primes() == []
     assert sum(numthy.sieve(143).is_prime) == 34
+    # a square limit is its own last sieving bound
+    for p in (2, 3, 5, 7, 11, 13):
+        table = numthy.sieve(p * p).is_prime
+        assert table[p] and not table[p * p]
 
 
 def test_prime_sieve_table():
@@ -52,8 +56,10 @@ def test_chebyshev_count_examples():
 
 def test_chebyshev_count_brute():
     for n in range(2, 300):
-        want = sum(1 for p in oracles.primes_upto(n) if 2 * p > n)
-        assert numthy.chebyshev_count(n) == want
+        want = [p for p in oracles.primes_upto(n) if 2 * p > n]
+        assert numthy.chebyshev_primes(n) == want
+        assert numthy.chebyshev_count(n) == len(want)
+    assert numthy.chebyshev_primes(1) == []
 
 
 def test_domain_errors():
