@@ -214,14 +214,18 @@ def cmd_homology(
     guard: int = ENUMERATION_GUARD,
 ) -> tuple[int, str]:
     """Reduced homology of the family's face complex, collapsed by default; the
-    coprime-free family uses the direct reduced model and scales past the guard."""
+    coprime-free family uses the direct reduced model, past the guard to SCAN_LIMIT."""
     if n < 1:
         raise ValueError("need --n >= 1")
     if d_max < 0:
         raise ValueError("need --dmax >= 0")
     if kind == families.COPRIME_FREE and collapse:
+        if n > SCAN_LIMIT:
+            raise ValueError(f"coprime-free homology limited to n <= {SCAN_LIMIT}")
         c = coprime_free_collapsed(n)
     else:
+        # the coprime-free maximal members come from cliques, which skip the guard
+        families._check_guard(n, guard)
         c = face_complex(kind, n, guard)
         if collapse:
             c = strong_collapse(c)

@@ -1,39 +1,44 @@
-"""Maximal clique enumeration (Bron-Kerbosch with pivoting), deterministic output."""
+"""Vertex sets as int masks, and maximal clique enumeration (Bron-Kerbosch with pivoting)."""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
 
-def maximal_cliques(
-    vertices: Iterable[int], adjacent: Callable[[int, int], bool]
-) -> list[frozenset[int]]:
-    """All inclusion-maximal cliques of the graph on the vertices whose edges are
-    the pairs u < v with adjacent(u, v); the predicate is asked once per pair.
+def bits(mask: int) -> list[int]:
+    """The positions of the set bits of a non-negative int, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
-    Isolated vertices come out as singleton cliques. Output is sorted by the
-    cliques' sorted vertex tuples, so repeated runs are byte-identical.
-    """
+
+def maximal_cliques(vertices: Iterable[int], adjacent: Callable[[int, int], bool]) -> list[int]:
+    """All inclusion-maximal cliques, as ascending vertex masks (bit v for vertex
+    v), of the graph on the non-negative int vertices whose edges are the pairs
+    u < v with adjacent(u, v); the predicate is asked once per pair. Isolated
+    vertices come out as singleton cliques."""
     vs = sorted(set(vertices))
-    neighbors: dict[int, set[int]] = {v: set() for v in vs}
+    neighbors = dict.fromkeys(vs, 0)
     for i, u in enumerate(vs):
         for v in vs[i + 1 :]:
             if adjacent(u, v):
-                neighbors[u].add(v)
-                neighbors[v].add(u)
-    found: list[frozenset[int]] = []
+                neighbors[u] |= 1 << v
+                neighbors[v] |= 1 << u
+    found: list[int] = []
 
-    def bk(r: set[int], p: set[int], x: set[int]) -> None:
+    def bk(r: int, p: int, x: int) -> None:
         if not p and not x:
-            found.append(frozenset(r))
+            found.append(r)
             return
         # pivot with the most candidates in p; ties go to the smallest label
-        pivot = max(sorted(p | x), key=lambda u: len(p & neighbors[u]))
-        for v in sorted(p - neighbors[pivot]):
-            bk(r | {v}, p & neighbors[v], x & neighbors[v])
-            p = p - {v}
-            x = x | {v}
+        pivot = max(bits(p | x), key=lambda u: (p & neighbors[u]).bit_count())
+        for v in bits(p & ~neighbors[pivot]):
+            bk(r | 1 << v, p & neighbors[v], x & neighbors[v])
+            p &= ~(1 << v)
+            x |= 1 << v
 
     if vs:
-        bk(set(), set(vs), set())
-    return sorted(found, key=sorted)
+        bk(0, sum(1 << v for v in vs), 0)
+    return sorted(found)

@@ -3,49 +3,64 @@ collapse, and the reduced model of the pairwise-non-coprime complex."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import gcd
+from operator import and_, or_
 
 from . import families
-from .cliques import maximal_cliques
+from .cliques import bits, maximal_cliques
 from .families import ENUMERATION_GUARD, FamilyKind
 from .numthy import is_squarefree
 
 
+def _face_mask(face) -> int:
+    mask = 0
+    for v in face:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValueError(f"vertex label {v!r} is not a non-negative int")
+        mask |= 1 << v
+    return mask
+
+
+def _maximal_faces(masks) -> tuple[int, ...]:
+    """The nonempty faces inside no other face, ascending."""
+    kept: list[int] = []
+    for f in sorted(set(masks) - {0}, key=int.bit_count, reverse=True):
+        if all(f & ~g for g in kept):
+            kept.append(f)
+    return tuple(sorted(kept))
+
+
+@dataclass(init=False, repr=False, unsafe_hash=True)
 class SimplicialComplex:
-    """Stored by facets; construction drops empty faces and non-maximal ones."""
+    """Stored by its facets: vertex masks, bit v set for vertex v, ascending (colex
+    order); construction drops empty and non-maximal faces. Vertex labels are
+    non-negative ints: any other label, bools included, raises ValueError."""
+
+    facets: tuple[int, ...]
 
     def __init__(self, faces):
-        distinct = {frozenset(f) for f in faces}
-        distinct.discard(frozenset())
-        facets: list[frozenset[int]] = []
-        for f in sorted(distinct, key=len, reverse=True):
-            if not any(f < g for g in facets):
-                facets.append(f)
-        self.facets: tuple[frozenset[int], ...] = tuple(sorted(facets, key=sorted))
-        verts = set().union(*facets) if facets else set()
-        self.vertices: tuple[int, ...] = tuple(sorted(verts))
+        self.facets = _maximal_faces(map(_face_mask, faces))
+
+    @classmethod
+    def from_masks(cls, masks) -> SimplicialComplex:
+        """The complex generated by faces given as vertex masks."""
+        c = cls.__new__(cls)
+        c.facets = _maximal_faces(masks)
+        return c
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(bits(reduce(or_, self.facets, 0)))
 
     @property
     def dim(self) -> int:
-        if not self.facets:
-            return -1
-        return max(len(f) for f in self.facets) - 1
-
-    def has_face(self, face) -> bool:
-        f = frozenset(face)
-        return any(f <= g for g in self.facets)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimplicialComplex):
-            return NotImplemented
-        return self.facets == other.facets
-
-    def __hash__(self) -> int:
-        return hash(self.facets)
+        return max((f.bit_count() for f in self.facets), default=0) - 1
 
     def __repr__(self) -> str:
-        inner = ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets)
+        inner = ", ".join("{" + ",".join(map(str, bits(f))) + "}" for f in self.facets)
         return f"SimplicialComplex([{inner}])"
 
 
@@ -61,43 +76,36 @@ def nerve(sets) -> SimplicialComplex:
         raise ValueError("nerve is undefined for an empty set in the collection")
     if len(set(collection)) != len(collection):
         raise ValueError("nerve expects pairwise distinct sets")
-    witness: dict[object, list[int]] = {}
+    witness: dict[object, int] = {}
     for i, s in enumerate(collection):
         for e in s:
-            witness.setdefault(e, []).append(i)
-    return SimplicialComplex(witness.values())
+            witness[e] = witness.get(e, 0) | 1 << i
+    return SimplicialComplex.from_masks(witness.values())
 
 
 def face_complex(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> SimplicialComplex:
     """Complex whose faces are exactly the members of the family."""
     facets = families.maximal_members(kind, n, guard)
-    return SimplicialComplex([f.elements() for f in facets])
+    return SimplicialComplex.from_masks(m.mask << 1 for m in facets)
 
 
-def _dominated_removal(facets: list[frozenset[int]]) -> int | None:
+def _dominated_removal(c: SimplicialComplex) -> int | None:
     """Find a vertex to delete: the smallest dominated vertex, except that under
     mutual domination the larger of the pair is deleted."""
-    verts = sorted(set().union(*facets)) if facets else []
-    for x in verts:
-        containing = [f for f in facets if x in f]
-        common = frozenset.intersection(*containing) - {x}
-        if not common:
-            continue
-        y = min(common)
-        mutual = all(x in f for f in facets if y in f)
-        return max(x, y) if mutual else x
+    for x in c.vertices:
+        if common := reduce(and_, (f for f in c.facets if f >> x & 1)) ^ 1 << x:
+            y = bits(common)[0]
+            mutual = all(f >> x & 1 for f in c.facets if f >> y & 1)
+            return max(x, y) if mutual else x
     return None
 
 
 def strong_collapse(c: SimplicialComplex) -> SimplicialComplex:
     """Repeatedly delete dominated vertices (x is dominated by y when every facet
     containing x contains y) until none remain."""
-    facets = list(c.facets)
-    while True:
-        victim = _dominated_removal(facets)
-        if victim is None:
-            return SimplicialComplex(facets)
-        facets = list(SimplicialComplex([f - {victim} for f in facets]).facets)
+    while (victim := _dominated_removal(c)) is not None:
+        c = SimplicialComplex.from_masks(f & ~(1 << victim) for f in c.facets)
+    return c
 
 
 def facet_nerve(c: SimplicialComplex) -> SimplicialComplex:
@@ -107,7 +115,7 @@ def facet_nerve(c: SimplicialComplex) -> SimplicialComplex:
     the nerve carries the homotopy type; it is the model of choice when the
     facets are few but too large to expand face by face.
     """
-    return nerve(c.facets)
+    return nerve(bits(f) for f in c.facets)
 
 
 def coprime_free_collapsed(n: int) -> SimplicialComplex:
@@ -127,18 +135,16 @@ def coprime_free_collapsed(n: int) -> SimplicialComplex:
         if is_squarefree(i)
         and not any(is_squarefree(m) for m in range(2 * i, n + 1, i))
     ]
-    return SimplicialComplex(maximal_cliques([1, *maximal_sf], lambda u, v: gcd(u, v) > 1))
+    cliques = maximal_cliques([1, *maximal_sf], lambda u, v: gcd(u, v) > 1)
+    return SimplicialComplex.from_masks(cliques)
 
 
-def faces_by_dimension(c: SimplicialComplex, d_max: int) -> list[list[tuple[int, ...]]]:
-    """Faces of each dimension 0..d_max as lex-sorted tuples of increasing vertices."""
+def faces_by_dimension(c: SimplicialComplex, d_max: int) -> list[list[int]]:
+    """Faces of each dimension 0..d_max as ascending vertex masks."""
     if d_max < 0:
         raise ValueError(f"need d_max >= 0, got {d_max}")
-    out: list[list[tuple[int, ...]]] = []
-    for d in range(d_max + 1):
-        level: set[tuple[int, ...]] = set()
-        for f in c.facets:
-            if len(f) >= d + 1:
-                level.update(combinations(sorted(f), d + 1))
-        out.append(sorted(level))
-    return out
+    vertex_bits = [[1 << v for v in bits(f)] for f in c.facets]
+    return [
+        sorted(set().union(*(map(sum, combinations(vs, d + 1)) for vs in vertex_bits)))
+        for d in range(d_max + 1)
+    ]

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import combinations
 
 from . import numthy
-from .cliques import maximal_cliques
+from .cliques import bits, maximal_cliques
 
 ENUMERATION_GUARD = 24
 
@@ -106,13 +106,7 @@ class BitSubset:
         return cls(n, mask)
 
     def elements(self) -> tuple[int, ...]:
-        out = []
-        rest = self.mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            out.append(bit.bit_length())
-        return tuple(out)
+        return tuple(bits(self.mask << 1))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -431,7 +425,7 @@ def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) ->
     """
     if kind == COPRIME_FREE:
         cliques = maximal_cliques(range(1, n + 1), lambda u, v: math.gcd(u, v) > 1)
-        return sorted(BitSubset.from_elements(n, s) for s in cliques)
+        return [BitSubset(n, m >> 1) for m in cliques]
     return [BitSubset(n, m) for m in _maximal_masks(members(kind, n, guard), n)]
 
 

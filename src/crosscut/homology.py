@@ -11,20 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from .cliques import bits
 from .complexes import SimplicialComplex, faces_by_dimension
-
-Face = tuple[int, ...]
 
 
 @dataclass(eq=True)
 class BoundaryMatrix:
-    """Matrix of d_d: rows index (d-1)-faces, columns index d-faces, and
-    columns[j][i] is the nonzero entry (+-1) in row i of column j; for d=0 the
-    single row () is the augmentation."""
+    """Matrix of d_d: rows index (d-1)-faces, columns index d-faces, both ascending
+    vertex masks, and columns[j][i] is the nonzero entry (+-1) in row i of column
+    j; for d=0 the single row 0, the empty face, is the augmentation."""
 
     dim: int
-    rows: tuple[Face, ...]
-    cols: tuple[Face, ...]
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
     columns: dict[int, dict[int, int]] = field(repr=False)
 
     def to_dense(self) -> list[list[int]]:
@@ -43,13 +42,13 @@ class HomologyGroup:
     torsion: tuple[int, ...] = ()
 
 
-def _boundary(rows: list[Face], cols: list[Face]) -> dict[int, dict[int, int]]:
-    """{col: {row: sign}}; the face omitting position k has sign (-1)^k. Columns
-    ascend and each column's rows follow k, the order _pivot_values takes its
-    unit pivots in, so this order sets the fill-in."""
+def _boundary(rows: list[int], cols: list[int]) -> dict[int, dict[int, int]]:
+    """{col: {row: sign}}; omitting the k-th smallest vertex v of sigma gives row
+    sigma ^ 1 << v with sign (-1)^k. Columns ascend and each column's rows follow
+    k, the order _pivot_values takes its unit pivots in, so this order sets the fill-in."""
     index = {f: i for i, f in enumerate(rows)}
     return {
-        j: {index[sigma[:k] + sigma[k + 1 :]]: -1 if k & 1 else 1 for k in range(len(sigma))}
+        j: {index[sigma ^ 1 << v]: -1 if k & 1 else 1 for k, v in enumerate(bits(sigma))}
         for j, sigma in enumerate(cols)
     }
 
@@ -59,9 +58,7 @@ def boundary_matrix(c: SimplicialComplex, d: int) -> BoundaryMatrix:
     builds it; the omitted-vertex position sets the sign (-1)^position."""
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
-    levels = faces_by_dimension(c, d)
-    rows = [()] if d == 0 else levels[d - 1]
-    cols = levels[d]
+    rows, cols = [[0], *faces_by_dimension(c, d)][d:]  # 0, the empty face, is the one (-1)-face
     return BoundaryMatrix(d, tuple(rows), tuple(cols), _boundary(rows, cols))
 
 
@@ -181,17 +178,16 @@ def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:
     invariant factors of d_{d+1}."""
     if d_max < 0:
         raise ValueError(f"need d_max >= 0, got {d_max}")
-    levels = faces_by_dimension(c, d_max + 1)
+    levels = [[0], *faces_by_dimension(c, d_max + 1)]  # levels[d + 1] holds the d-faces
     ranks: list[int] = []
     chains: list[tuple[int, ...]] = []
     for d in range(d_max + 2):
-        rows = [()] if d == 0 else levels[d - 1]
-        pivots = _pivot_values(_boundary(rows, levels[d]))
+        pivots = _pivot_values(_boundary(levels[d], levels[d + 1]))
         ranks.append(len(pivots))
         chains.append(_divisibility_chain(pivots))
     out = []
     for d in range(d_max + 1):
-        rank = len(levels[d]) - ranks[d] - ranks[d + 1]
+        rank = len(levels[d + 1]) - ranks[d] - ranks[d + 1]
         torsion = tuple(v for v in chains[d + 1] if v > 1)
         out.append(HomologyGroup(rank, torsion))
     return out

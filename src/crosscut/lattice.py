@@ -8,6 +8,7 @@ containing its union, or the synthetic top when none does.
 from __future__ import annotations
 
 from . import families
+from .cliques import bits
 from .complexes import SimplicialComplex
 from .families import ENUMERATION_GUARD, BitSubset, EnumerationGuardError, FamilyKind
 
@@ -107,9 +108,7 @@ def is_crosscut(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> bool:
         m = stack.pop()
         if m in coatom_masks:
             return False
-        for i in range(lat.n):
-            if m >> i & 1:
-                continue
+        for i in bits(~m & ((1 << lat.n) - 1)):
             nxt = m | 1 << i
             if nxt in seen or nxt in cut_masks or nxt not in lat._masks:
                 continue
@@ -142,10 +141,6 @@ def crosscut_complex(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> Simpl
     if not is_crosscut(lat, cut, guard):
         raise ValueError("crosscut_complex needs a valid cross-cut")
     order = sorted(cut, key=lambda x: x.mask)
-    k = len(order)
-    faces = []
-    for bits in range(1, 1 << k):
-        indices = [i for i in range(k) if bits >> i & 1]
-        if not is_spanning(lat, [order[i] for i in indices]):
-            faces.append(indices)
-    return SimplicialComplex(faces)
+    return SimplicialComplex.from_masks(
+        f for f in range(1, 1 << len(order)) if not is_spanning(lat, [order[i] for i in bits(f)])
+    )

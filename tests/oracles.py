@@ -104,6 +104,28 @@ def maximal_masks(name: str, n: int, s: int | None = None) -> list[int]:
     )
 
 
+def maximal_cliques_by_subsets(vertices, edges) -> list[int]:
+    """Maximal cliques as vertex masks (bit v for vertex v), ascending: every
+    subset of the vertices that is a clique and that no outside vertex extends.
+    edges holds each adjacent pair as a frozenset."""
+    vs = sorted(vertices)
+
+    def is_clique(group) -> bool:
+        return all(frozenset(pair) in edges for pair in combinations(group, 2))
+
+    cliques = [
+        set(group)
+        for r in range(1, len(vs) + 1)
+        for group in combinations(vs, r)
+        if is_clique(group)
+    ]
+    return sorted(
+        sum(1 << v for v in group)
+        for group in cliques
+        if not any(is_clique(group | {w}) for w in vs if w not in group)
+    )
+
+
 # --- exact linear algebra oracles --------------------------------------------
 
 

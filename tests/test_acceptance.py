@@ -163,7 +163,7 @@ def test_criterion_8_oracle_equivalence():
             if sets == [frozenset()]:
                 continue  # the only maximal member is empty; there is no cover
             nc = strong_collapse(nerve(sets))
-            if sum(comb(len(f), 4) for f in nc.facets) > 20_000:
+            if sum(comb(f.bit_count(), 4) for f in nc.facets) > 20_000:
                 nc = strong_collapse(facet_nerve(nc))
             fc = face_complex(kind, n)
             assert reduced_homology(nc, 2) == reduced_homology(fc, 2), (kind.label(), n)

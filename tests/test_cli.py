@@ -289,6 +289,17 @@ def test_main_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_main_coprimefree_homology_limits(capsys):
+    # the reduced model is capped like scan-h2, the full face complex by the guard
+    assert main(["homology", "--family", "coprimefree", "--n", "201"]) == 2
+    assert "error: coprime-free homology limited to n <= 200" in capsys.readouterr().err
+    assert main(["homology", "--family", "coprimefree", "--n", "25", "--no-collapse"]) == 2
+    assert "exceeds the enumeration guard 24" in capsys.readouterr().err
+    assert main(["homology", "--family", "coprimefree", "--n", "200", "--dmax", "0"]) == 0
+    assert main(["homology", "--family", "coprimefree", "--n", "24", "--no-collapse"]) == 0
+    capsys.readouterr()
+
+
 def test_main_guard_error_and_override(capsys):
     assert main(["table", "--family", "divisibilitychain", "--n", "25"]) == 2
     captured = capsys.readouterr()
