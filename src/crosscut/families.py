@@ -257,9 +257,10 @@ def is_member(kind: FamilyKind, s: BitSubset) -> bool:
     return True
 
 
-def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0) -> None:
+def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0, with_one: bool = False) -> None:
     """Call visit(mask, largest element, size) on every nonempty member that
-    avoids the elements in the mask `avoid`, depth first."""
+    avoids the elements in the mask `avoid`, depth first; with_one keeps to the
+    members that hold 1."""
     state, cand, grow = _RULES[kind.name](kind, range(1, n + 1))
     cand &= ~avoid
 
@@ -277,7 +278,11 @@ def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0) -> None:
             if rest := cand & ~forbid:
                 rec(child, gmask, rest, k + 1)
 
-    rec(state, 0, cand, 1)
+    if not with_one:
+        rec(state, 0, cand, 1)
+    elif cand & 1 and (grown := grow(state, 0, 1)) is not _REJECT:
+        visit(1, 1, 1)
+        rec(grown[0], 1, cand & ~grown[1] & ~1, 2)
 
 
 def _check_guard(n: int, guard: int) -> None:
@@ -287,11 +292,12 @@ def _check_guard(n: int, guard: int) -> None:
         )
 
 
-def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> list[int]:
-    """The mask of every member of the family within 2^[n], ascending."""
+def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD, avoid: int = 0) -> list[int]:
+    """The mask of every member of the family within 2^[n] that avoids the
+    elements in the mask `avoid`, ascending."""
     _check_guard(n, guard)
     masks = [0]
-    _walk(kind, n, lambda mask, x, k: masks.append(mask))
+    _walk(kind, n, lambda mask, x, k: masks.append(mask), avoid)
     masks.sort()
     return masks
 
@@ -326,6 +332,15 @@ _FREE_PRIME_FAMILIES = frozenset(
         "coprime",  # gcd(p, y) = 1 for every other y
         "productfree",  # p is no product a*b of elements >= 2, and 1 is never admitted
         "distinctpairproducts",  # p*a = c*d forces p in {c, d}, so the pairs are equal
+    ]
+)
+# In these such a prime takes part in a violation only together with 1, so a
+# member without 1 plus any set of them is a member:
+_FREE_WITHOUT_ONE_FAMILIES = frozenset(
+    [
+        "primitive",  # 1 and p are p's only divisors, and p has no other multiple
+        "smultiple",  # p is its own only multiple, and adds one to 1's count
+        "nodivisorofpairproduct",  # i | p*k for i not in {p, k} means i | k, so i | k*k
     ]
 )
 
@@ -422,11 +437,22 @@ def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) ->
     Coprime-free sets bypass subset enumeration entirely: the maximal members
     are the maximal cliques of the gcd>1 graph on [1..n], where 1 is isolated,
     so the construction scales to n in the hundreds.
+
+    Elsewhere the walk skips the free primes in (n/2, n] and ORs them back, as
+    a maximal member takes every prime that is free for it. Where the primes
+    are free only without 1, a second walk lists the few members holding 1,
+    and a last filter drops the others that 1 extends.
     """
     if kind == COPRIME_FREE:
         cliques = maximal_cliques(range(1, n + 1), lambda u, v: math.gcd(u, v) > 1)
         return [BitSubset(n, m >> 1) for m in cliques]
-    return [BitSubset(n, m) for m in _maximal_masks(members(kind, n, guard), n)]
+    one = int(kind.name in _FREE_WITHOUT_ONE_FAMILIES)  # the mask of 1, if split there
+    free = _mask(numthy.chebyshev_primes(n)) if one or kind.name in _FREE_PRIME_FAMILIES else 0
+    masks = [m | free for m in _maximal_masks(members(kind, n, guard, free | one), n)]
+    if one:
+        _walk(kind, n, lambda mask, x, k: masks.append(mask), with_one=True)
+        masks = _maximal_masks(sorted(masks), n)
+    return [BitSubset(n, m) for m in masks]
 
 
 @dataclass(frozen=True)

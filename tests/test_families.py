@@ -179,14 +179,15 @@ def test_count_triangle_fold_matches_full_walk(kind):
         assert families.count_triangle(kind, n).rows[n - 1] == tuple(sizes), n
 
 
-def _free_prime_additions(kind, n):
-    """Each (member avoiding the primes in (n/2, n], nonempty set of those primes,
-    whether their union is a member by the oracle predicate)."""
+def _free_prime_additions(kind, n, avoid=0):
+    """Each (member avoiding the primes in (n/2, n] and the mask `avoid`,
+    nonempty set of those primes, whether their union is a member by the
+    oracle predicate)."""
     free = numthy.chebyshev_primes(n)
     free_mask = sum(1 << (p - 1) for p in free)
     pred = oracles.oracle_predicate(kind.name, kind.s)
     for mask in families.members(kind, n):
-        if mask & free_mask:
+        if mask & (free_mask | avoid):
             continue
         elems = oracles.mask_elements(n, mask)
         for r in range(1, len(free) + 1):
@@ -196,10 +197,12 @@ def _free_prime_additions(kind, n):
 
 FOLDED_KINDS = [k for k in ALL_KINDS if families._free_primes(k, 14)]
 UNFOLDED_KINDS = [k for k in ALL_KINDS if k not in FOLDED_KINDS]
+SPLIT_KINDS = [k for k in ALL_KINDS if k.name in families._FREE_WITHOUT_ONE_FAMILIES]
 
 
 def test_folded_kinds():
     assert FOLDED_KINDS == [PAIRWISE_COPRIME, PRODUCT_FREE, DISTINCT_PAIR_PRODUCTS]
+    assert SPLIT_KINDS == [PRIMITIVE, NO_DIVISOR_OF_PAIR_PRODUCT] + [s_multiple(s) for s in range(1, 5)]
 
 
 @pytest.mark.parametrize("kind", FOLDED_KINDS, ids=lambda k: k.label())
@@ -208,6 +211,15 @@ def test_free_primes_sound(kind):
     for n in range(2, 15):
         assert families._free_primes(kind, n) == numthy.chebyshev_primes(n)
         for elems, extra, ok in _free_prime_additions(kind, n):
+            assert ok, (n, elems, extra)
+
+
+@pytest.mark.parametrize("kind", SPLIT_KINDS, ids=lambda k: k.label())
+def test_free_primes_sound_without_one(kind):
+    # maximal_members' split is exact iff a member without 1 plus any set of
+    # the free primes is a member
+    for n in range(2, 15):
+        for elems, extra, ok in _free_prime_additions(kind, n, avoid=1):
             assert ok, (n, elems, extra)
 
 
@@ -283,6 +295,20 @@ def test_maximal_members_match_oracle(kind):
         assert got == oracles.maximal_masks(kind.name, n, kind.s)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_maximal_fold_matches_full_walk(kind):
+    # maximal_members walks [n] without the free primes (and without 1 where
+    # they meet it); the filter over every member is the reference
+    for n in range(1, 21):
+        full = families.members(kind, n)
+        got = [s.mask for s in families.maximal_members(kind, n)]
+        assert got == families._maximal_masks(full, n), n
+        free = sum(1 << (p - 1) for p in numthy.chebyshev_primes(n))
+        for avoid in (1, free, free | 1):
+            want = [m for m in full if not m & avoid]
+            assert families.members(kind, n, avoid=avoid) == want, (n, avoid)
+
+
 def test_coprimefree_maximal_dual_route():
     # clique construction versus the generic one-element-extension filter
     for n in range(1, 15):
@@ -326,6 +352,17 @@ def test_partition_thm4_families():
     # primitive splits into {{1}} and the sets containing the top prime;
     # pairwise coprime and product-free give a single class
     for n in range(2, 17):
+        out = families.partition_components(PRIMITIVE, n)
+        assert isinstance(out, Partition) and out.m == 2, n
+        out = families.partition_components(PAIRWISE_COPRIME, n)
+        assert isinstance(out, Partition) and out.m == 1, n
+        out = families.partition_components(PRODUCT_FREE, n)
+        assert isinstance(out, Partition) and out.m == 1, n
+
+
+def test_partition_thm4_families_to_guard():
+    # the same m = 2 / 1 / 1 split for every n up to the enumeration guard
+    for n in range(17, 25):
         out = families.partition_components(PRIMITIVE, n)
         assert isinstance(out, Partition) and out.m == 2, n
         out = families.partition_components(PAIRWISE_COPRIME, n)
