@@ -12,13 +12,13 @@ from crosscut.families import FAMILY_NAMES, kind_from_name
 TABLE_CAPS = {"primitive": 17, "coprime": 17, "productfree": 12}
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=Path, default=Path("out"))
     parser.add_argument("--n", type=int, default=14, help="table cap for the auxiliary families")
     parser.add_argument("--altsum-to", type=int, default=20)
     parser.add_argument("--s", type=int, nargs="*", default=[2, 3], help="smultiple bounds to survey")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
     kinds = [

@@ -19,7 +19,6 @@ from .families import (
     PAIRWISE_COPRIME,
     PRIMITIVE,
     PRODUCT_FREE,
-    BitSubset,
     CountTriangle,
     EnumerationGuardError,
     FailureWitness,

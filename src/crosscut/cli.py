@@ -17,6 +17,7 @@ from math import comb
 from pathlib import Path
 
 from . import families
+from .cliques import bits
 from .complexes import coprime_free_collapsed, face_complex, strong_collapse
 from .families import (
     ENUMERATION_GUARD,
@@ -277,6 +278,10 @@ def cmd_scan_h2(n_from: int, n_to: int, fmt: str = "csv") -> tuple[int, str]:
     return 0, record.render(fmt)
 
 
+def _elements(mask: int) -> str:
+    return " ".join(map(str, bits(mask)))
+
+
 def cmd_maximal(
     kind: FamilyKind, n: int, fmt: str = "csv", guard: int = ENUMERATION_GUARD
 ) -> tuple[int, str]:
@@ -285,9 +290,7 @@ def cmd_maximal(
     if n < 1:
         raise ValueError("need --n >= 1")
     outcome = families.partition_components(kind, n, guard)
-    rows = [
-        (i, len(s), " ".join(str(e) for e in s.elements())) for i, s in enumerate(outcome.maximal)
-    ]
+    rows = [(i, s.bit_count(), _elements(s)) for i, s in enumerate(outcome.maximal)]
     if isinstance(outcome, Partition):
         index = {s: i for i, s in enumerate(outcome.maximal)}
         comments = [f"partition into m={outcome.m} classes"]
@@ -295,19 +298,11 @@ def cmd_maximal(
             indices = " ".join(str(index[s]) for s in cls)
             comments.append(f"class {i}: coatoms {indices}")
     else:
-        members = ", ".join(
-            "{" + " ".join(str(e) for e in s.elements()) + "}" for s in outcome.component
-        )
+        members = ", ".join("{" + _elements(s) + "}" for s in outcome.component)
         comments = [f"no partition: component [{members}] has empty total intersection"]
         if outcome.pair is not None:
             a, b = outcome.pair
-            comments.append(
-                "disjoint witness pair: {"
-                + " ".join(str(e) for e in a.elements())
-                + "} and {"
-                + " ".join(str(e) for e in b.elements())
-                + "}"
-            )
+            comments.append(f"disjoint witness pair: {{{_elements(a)}}} and {{{_elements(b)}}}")
     record = OutputRecord(
         "maximal",
         (("family", kind.label()), ("n", str(n))),

@@ -85,8 +85,7 @@ def nerve(sets) -> SimplicialComplex:
 
 def face_complex(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> SimplicialComplex:
     """Complex whose faces are exactly the members of the family."""
-    facets = families.maximal_members(kind, n, guard)
-    return SimplicialComplex.from_masks(m.mask << 1 for m in facets)
+    return SimplicialComplex.from_masks(families.maximal_members(kind, n, guard))
 
 
 def _dominated_removal(c: SimplicialComplex) -> int | None:

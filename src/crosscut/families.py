@@ -5,6 +5,9 @@ another), pairwise coprime, product-free, coprime-free (all pairs share a factor
 s-multiple (at most s multiples of each element in the set, the element itself
 included; s=1 is primitivity), distinct pair products, no divisor of a pair
 product, and divisibility chains.
+
+A subset of [n] is an int mask, bit x for element x (bit 0 never set): the
+same mask as its face in the face complex. cliques.bits lists its elements.
 """
 
 from __future__ import annotations
@@ -83,41 +86,6 @@ def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
     return FamilyKind(name)
 
 
-@dataclass(frozen=True, order=True)
-class BitSubset:
-    """Subset of [n] as a bitmask; bit i-1 set iff i is a member."""
-
-    n: int
-    mask: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("universe size must be >= 1")
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError("mask has bits outside the universe")
-
-    @classmethod
-    def from_elements(cls, n: int, elements) -> "BitSubset":
-        mask = 0
-        for i in elements:
-            if not 1 <= i <= n:
-                raise ValueError(f"element {i} outside [1..{n}]")
-            mask |= 1 << (i - 1)
-        return cls(n, mask)
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(bits(self.mask << 1))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, i: int) -> bool:
-        return 1 <= i <= self.n and bool(self.mask >> (i - 1) & 1)
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(str(i) for i in self.elements()) + "}"
-
-
 # --- incremental extension rules ------------------------------------------------
 #
 # Every family here is downward closed, so each member is reachable by adding
@@ -128,10 +96,11 @@ class BitSubset:
 # or _REJECT. Tables fill per element on first use, so an early exit is cheap.
 
 _REJECT = object()
+_ONE = 1 << 1  # the mask of {1}
 
 
 def _mask(elements) -> int:
-    return sum(1 << (x - 1) for x in elements)
+    return sum(1 << x for x in elements)
 
 
 def _relation(universe, related):
@@ -159,23 +128,23 @@ def _rule_productfree(kind: FamilyKind, universe):
 
     def grow(state, mask, x):
         forbid = 0
-        small = (mask | 1 << (x - 1)) & ((1 << n // x) - 1)
+        small = (mask | 1 << x) & ((2 << n // x) - 1)
         while small:
             bit = small & -small
             small ^= bit
-            forbid |= 1 << (x * bit.bit_length() - 1)
+            forbid |= 1 << x * (bit.bit_length() - 1)
         return None, forbid
 
-    return None, _mask(universe) & ~1, grow
+    return None, _mask(universe) & ~_ONE, grow
 
 
 def _rule_smultiple(kind: FamilyKind, universe):
     # Once a divisor a of x in the set has s multiples there, x forbids the rest.
     multiples = _relation(universe, lambda a, m: m % a == 0)
-    divisors = cache(lambda x: [(1 << (a - 1), multiples(a)) for a in universe if x % a == 0])
+    divisors = cache(lambda x: [(1 << a, multiples(a)) for a in universe if x % a == 0])
 
     def grow(state, mask, x):
-        grown = mask | 1 << (x - 1)
+        grown = mask | 1 << x
         forbid = 0
         for bit, m in divisors(x):
             if grown & bit and (grown & m).bit_count() == kind.s:
@@ -237,17 +206,19 @@ _RULES = {
 }
 
 
-def is_member(kind: FamilyKind, s: BitSubset) -> bool:
-    """Whether the subset satisfies the family's defining condition.
+def is_member(kind: FamilyKind, subset: int) -> bool:
+    """Whether the subset mask satisfies the family's defining condition.
 
     Depends only on the elements, never on the universe size; the empty set
     always belongs.
     """
-    elems = s.elements()
+    if subset < 0 or subset & 1:
+        raise ValueError(f"{subset} is not a subset mask: negative or bit 0 set")
+    elems = bits(subset)
     state, cand, grow = _RULES[kind.name](kind, elems)
     mask = 0
     for x in elems:
-        bit = 1 << (x - 1)
+        bit = 1 << x
         grown = _REJECT if not cand & bit else grow(state, mask, x)
         if grown is _REJECT:
             return False
@@ -268,7 +239,7 @@ def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0, with_one: bool = Fals
         while cand:
             bit = cand & -cand
             cand ^= bit
-            x = bit.bit_length()
+            x = bit.bit_length() - 1
             grown = grow(state, mask, x)
             if grown is _REJECT:
                 continue
@@ -280,9 +251,14 @@ def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0, with_one: bool = Fals
 
     if not with_one:
         rec(state, 0, cand, 1)
-    elif cand & 1 and (grown := grow(state, 0, 1)) is not _REJECT:
-        visit(1, 1, 1)
-        rec(grown[0], 1, cand & ~grown[1] & ~1, 2)
+    elif cand & _ONE and (grown := grow(state, 0, 1)) is not _REJECT:
+        visit(_ONE, 1, 1)
+        rec(grown[0], _ONE, cand & ~grown[1] & ~_ONE, 2)
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
 
 
 def _check_guard(n: int, guard: int) -> None:
@@ -295,6 +271,7 @@ def _check_guard(n: int, guard: int) -> None:
 def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD, avoid: int = 0) -> list[int]:
     """The mask of every member of the family within 2^[n] that avoids the
     elements in the mask `avoid`, ascending."""
+    _check_size(n)
     _check_guard(n, guard)
     masks = [0]
     _walk(kind, n, lambda mask, x, k: masks.append(mask), avoid)
@@ -349,23 +326,16 @@ def _free_primes(kind: FamilyKind, n: int) -> list[int]:
     return numthy.chebyshev_primes(n) if kind.name in _FREE_PRIME_FAMILIES else []
 
 
-def _add_free(by_max: list[list[int]], free: list[int]) -> list[list[int]]:
-    """The (max element, size) histogram of members once every subset of the
-    free primes is added to each member counted in by_max."""
-    out = [[0] * len(row) for row in by_max]
-    for m, row in enumerate(by_max):
-        below = sum(1 for f in free if f < m)
-        for k, c in enumerate(row):
-            if not c:
-                continue
-            # the largest element stays m, or becomes the i-th free prime f > m
-            for j in range(below + 1):
-                out[m][k + j] += c * math.comb(below, j)
-            for i, f in enumerate(free):
-                if f > m:
-                    for j in range(i + 1):
-                        out[f][k + 1 + j] += c * math.comb(i, j)
-    return out
+def _add_free(by_max: list[list[int]], free: list[int]) -> None:
+    """Fold the free primes, ascending, into the (max element, size) histogram
+    of members: each member may take f or not, and f becomes the largest
+    element of those below it."""
+    for f in free:
+        below = [sum(col) for col in zip(*by_max[:f])]
+        by_max[f] = [0, *below[:-1]]
+        for m in range(f + 1, len(by_max)):
+            row = by_max[m]
+            by_max[m] = [a + b for a, b in zip(row, [0, *row[:-1]])]
 
 
 def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD) -> CountTriangle:
@@ -373,10 +343,9 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
 
     One DFS pass aggregates members by (max element, cardinality); row n is the
     cumulative sum over max <= n. The walk skips the free primes of
-    _FREE_PRIME_FAMILIES, and binomial coefficients add them back.
+    _FREE_PRIME_FAMILIES, and _add_free folds them back in.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    _check_size(n_max)
     _check_guard(n_max, guard)
     by_max = [[0] * (n_max + 1) for _ in range(n_max + 1)]
     by_max[0][0] = 1  # the empty set
@@ -386,7 +355,7 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
 
     free = _free_primes(kind, n_max)
     _walk(kind, n_max, visit, _mask(free))
-    by_max = _add_free(by_max, free)
+    _add_free(by_max, free)
 
     rows = []
     acc = by_max[0]
@@ -425,13 +394,13 @@ def _maximal_masks(masks: list[int], n: int) -> list[int]:
     drops the masks that it extends.
     """
     found = set(masks)
-    for i in reversed(range(n)):
+    for i in reversed(range(1, n + 1)):
         bit = 1 << i
         masks = [m for m in masks if m & bit or m | bit not in found]
     return masks
 
 
-def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> list[BitSubset]:
+def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> list[int]:
     """Members with no one-element extension in the family, ascending by mask.
 
     Coprime-free sets bypass subset enumeration entirely: the maximal members
@@ -443,24 +412,24 @@ def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) ->
     are free only without 1, a second walk lists the few members holding 1,
     and a last filter drops the others that 1 extends.
     """
+    _check_size(n)
     if kind == COPRIME_FREE:
-        cliques = maximal_cliques(range(1, n + 1), lambda u, v: math.gcd(u, v) > 1)
-        return [BitSubset(n, m >> 1) for m in cliques]
-    one = int(kind.name in _FREE_WITHOUT_ONE_FAMILIES)  # the mask of 1, if split there
+        return maximal_cliques(range(1, n + 1), lambda u, v: math.gcd(u, v) > 1)
+    one = _ONE if kind.name in _FREE_WITHOUT_ONE_FAMILIES else 0  # split off 1 there
     free = _mask(numthy.chebyshev_primes(n)) if one or kind.name in _FREE_PRIME_FAMILIES else 0
     masks = [m | free for m in _maximal_masks(members(kind, n, guard, free | one), n)]
     if one:
         _walk(kind, n, lambda mask, x, k: masks.append(mask), with_one=True)
         masks = _maximal_masks(sorted(masks), n)
-    return [BitSubset(n, m) for m in masks]
+    return masks
 
 
 @dataclass(frozen=True)
 class Partition:
     """Maximal members split into classes, each with nonempty total intersection."""
 
-    classes: tuple[tuple[BitSubset, ...], ...]
-    maximal: tuple[BitSubset, ...]
+    classes: tuple[tuple[int, ...], ...]
+    maximal: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -471,9 +440,9 @@ class Partition:
 class FailureWitness:
     """A connected component of maximal members whose total intersection is empty."""
 
-    component: tuple[BitSubset, ...]
-    pair: tuple[BitSubset, BitSubset] | None
-    maximal: tuple[BitSubset, ...]
+    component: tuple[int, ...]
+    pair: tuple[int, int] | None
+    maximal: tuple[int, ...]
 
 
 def partition_components(
@@ -497,7 +466,7 @@ def partition_components(
 
     first: dict[int, int] = {}  # element -> index of the first member holding it
     for i, s in enumerate(maximal):
-        for e in s.elements():
+        for e in bits(s):
             parent[find(i)] = find(first.setdefault(e, i))
     groups: dict[int, list[int]] = {}  # in order of each component's first member
     for i in range(len(maximal)):
@@ -508,9 +477,9 @@ def partition_components(
         component = tuple(maximal[i] for i in idxs)
         total = -1
         for s in component:
-            total &= s.mask
+            total &= s
         if total == 0:
-            pair = next((p for p in combinations(component, 2) if not p[0].mask & p[1].mask), None)
+            pair = next((p for p in combinations(component, 2) if not p[0] & p[1]), None)
             return FailureWitness(component, pair, maximal)
         classes.append(component)
     return Partition(tuple(classes), maximal)

@@ -2,15 +2,20 @@
 
 The lattice on a downward-closed family is graded by cardinality (covers add one
 element), meet is intersection, and the join of a subset is the least member
-containing its union, or the synthetic top when none does.
+containing its union, or the synthetic top when none does. Members are subset
+masks, bit x for element x, as in families.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import combinations
+from operator import and_, or_
+
 from . import families
 from .cliques import bits
 from .complexes import SimplicialComplex
-from .families import ENUMERATION_GUARD, BitSubset, EnumerationGuardError, FamilyKind
+from .families import ENUMERATION_GUARD, EnumerationGuardError, FamilyKind
 
 CHAIN_GUARD = 8
 
@@ -38,24 +43,23 @@ class FamilyLattice:
     def __init__(self, kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD):
         self.kind = kind
         self.n = n
-        self.members: list[BitSubset] = [BitSubset(n, m) for m in families.members(kind, n, guard)]
-        self._masks = {m.mask for m in self.members}
+        self.members: list[int] = families.members(kind, n, guard)
+        self._masks = set(self.members)
         self.bottom = self.members[0]
 
     def is_element(self, x) -> bool:
-        return x is TOP or (isinstance(x, BitSubset) and x.mask in self._masks)
+        return x is TOP or x in self._masks
 
     def leq(self, x, y) -> bool:
         if y is TOP:
             return True
         if x is TOP:
             return False
-        return x.mask & ~y.mask == 0
+        return x & ~y == 0
 
-    def coatoms(self) -> list[BitSubset]:
+    def coatoms(self) -> list[int]:
         """The maximal members: exactly the elements covered by the top."""
-        masks = families._maximal_masks([m.mask for m in self.members], self.n)
-        return [BitSubset(self.n, m) for m in masks]
+        return families._maximal_masks(self.members, self.n)
 
 
 def _require_elements(lat: FamilyLattice, xs) -> None:
@@ -77,9 +81,9 @@ def mobius(lat: FamilyLattice, x, y) -> int:
     if x is TOP:
         return 1
     if y is not TOP:
-        return -1 if (len(y) - len(x)) & 1 else 1
-    k = len(x)
-    return -sum(-1 if (m.bit_count() - k) & 1 else 1 for m in lat._masks if x.mask & ~m == 0)
+        return -1 if (y.bit_count() - x.bit_count()) & 1 else 1
+    k = x.bit_count()
+    return -sum(-1 if (m.bit_count() - k) & 1 else 1 for m in lat._masks if x & ~m == 0)
 
 
 def is_crosscut(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> bool:
@@ -92,23 +96,18 @@ def is_crosscut(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> bool:
     if any(x is TOP for x in cut):
         return False
     _require_elements(lat, cut)
-    cut_masks = {x.mask for x in cut}
-    if 0 in cut_masks:
+    cut_masks = set(cut)
+    if 0 in cut_masks or any(a & ~b == 0 for a, b in combinations(sorted(cut_masks), 2)):
         return False
-    masks = sorted(cut_masks)
-    for i, a in enumerate(masks):
-        for b in masks[i + 1 :]:
-            if a & ~b == 0:
-                return False
     # search for a maximal chain avoiding the cut: bottom -> +1 element covers -> coatom
-    coatom_masks = {m.mask for m in lat.coatoms()}
+    coatom_masks = set(lat.coatoms())
     seen = {0}
     stack = [0]
     while stack:
         m = stack.pop()
         if m in coatom_masks:
             return False
-        for i in bits(~m & ((1 << lat.n) - 1)):
+        for i in bits(~m & ((2 << lat.n) - 2)):
             nxt = m | 1 << i
             if nxt in seen or nxt in cut_masks or nxt not in lat._masks:
                 continue
@@ -125,14 +124,7 @@ def is_spanning(lat: FamilyLattice, subset) -> bool:
     if any(x is TOP for x in elems):
         raise ValueError("spanning test expects elements below the top")
     _require_elements(lat, elems)
-    if not elems:
-        return False
-    meet = elems[0].mask
-    union = 0
-    for x in elems:
-        meet &= x.mask
-        union |= x.mask
-    return meet == 0 and union not in lat._masks
+    return bool(elems) and reduce(and_, elems) == 0 and reduce(or_, elems) not in lat._masks
 
 
 def crosscut_complex(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> SimplicialComplex:
@@ -140,7 +132,7 @@ def crosscut_complex(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> Simpl
     mask order), and a face for every subset that does not span."""
     if not is_crosscut(lat, cut, guard):
         raise ValueError("crosscut_complex needs a valid cross-cut")
-    order = sorted(cut, key=lambda x: x.mask)
+    order = sorted(cut)
     return SimplicialComplex.from_masks(
         f for f in range(1, 1 << len(order)) if not is_spanning(lat, [order[i] for i in bits(f)])
     )

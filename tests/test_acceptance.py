@@ -8,6 +8,7 @@ from math import comb
 
 from crosscut import families
 from crosscut.cli import cmd_oeis_compare, cmd_scan_h2, cmd_table
+from crosscut.cliques import bits
 from crosscut.complexes import (
     coprime_free_collapsed,
     face_complex,
@@ -47,7 +48,7 @@ ALL_KINDS += [s_multiple(2), s_multiple(3)]
 
 
 def coatom_sets(kind, n):
-    return [frozenset(s.elements()) for s in maximal_members(kind, n)]
+    return [frozenset(bits(s)) for s in maximal_members(kind, n)]
 
 
 def test_criterion_1_tables():

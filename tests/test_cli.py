@@ -1,4 +1,6 @@
+import doctest
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -320,3 +322,22 @@ def test_main_bad_bfile_exits_two(tmp_path, capsys):
     missing = ["oeis-compare", "--family", "primitive", "--bfile", str(tmp_path / "nope.txt")]
     assert main(missing) == 2
     capsys.readouterr()
+
+
+# survey_digests.json pins the 27 CSVs that scripts/run_survey.py writes with its
+# defaults: count tables, alternating sums and maximal listings for every family
+SURVEY = json.loads((Path(__file__).parent / "survey_digests.json").read_text())
+
+
+def test_survey_matches_recorded_digests(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("run_survey", ROOT / "scripts" / "run_survey.py")
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    assert survey.main(["--out-dir", str(tmp_path)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == SURVEY
+
+
+def test_readme_library_examples():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted and not result.failed

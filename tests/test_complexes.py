@@ -290,7 +290,7 @@ def test_facet_nerve_preserves_torsion():
 def test_facet_nerve_matches_direct_route_on_fat_nerve():
     # the collapsed nerve of the s=3 maximal members has few facets but huge
     # face counts; the facet-cover model must agree with direct expansion
-    sets = [frozenset(s.elements()) for s in families.maximal_members(s_multiple(3), 8)]
+    sets = [frozenset(bits(s)) for s in families.maximal_members(s_multiple(3), 8)]
     nc = strong_collapse(nerve(sets))
     direct = reduced_homology(nc, 2)
     via_model = reduced_homology(strong_collapse(facet_nerve(nc)), 2)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crosscut import families, numthy
+from crosscut.cliques import bits
 from crosscut.families import (
     COPRIME_FREE,
     DISTINCT_PAIR_PRODUCTS,
@@ -14,7 +15,6 @@ from crosscut.families import (
     PAIRWISE_COPRIME,
     PRIMITIVE,
     PRODUCT_FREE,
-    BitSubset,
     EnumerationGuardError,
     FailureWitness,
     FamilyKind,
@@ -40,8 +40,8 @@ ALL_KINDS = [
 ]
 
 
-def bits(n: int, mask: int) -> BitSubset:
-    return BitSubset(n, mask)
+def mask_of(elements) -> int:
+    return sum(1 << x for x in elements)
 
 
 # --- kinds and subsets --------------------------------------------------------
@@ -65,30 +65,49 @@ def test_family_kind_validation():
         kind_from_name("primitive", 1)
 
 
-def test_bitsubset_basics():
-    s = BitSubset.from_elements(6, [2, 5])
-    assert s.mask == 0b10010
-    assert s.elements() == (2, 5)
-    assert len(s) == 2
-    assert 2 in s and 5 in s and 3 not in s and 7 not in s
-    assert repr(s) == "{2,5}"
-    assert BitSubset.from_elements(100000, [2, 99999, 100000]).elements() == (2, 99999, 100000)
-    with pytest.raises(ValueError):
-        BitSubset.from_elements(4, [5])
-    with pytest.raises(ValueError):
-        BitSubset(4, 1 << 4)
-    with pytest.raises(ValueError):
-        BitSubset(0, 0)
+def test_subset_mask_elements():
+    # bit x stands for element x; the oracles keep bit x-1, so masks shift by one
+    assert bits(0b100100) == [2, 5]
+    sparse = mask_of([2, 99999, 100000])
+    assert bits(sparse) == [2, 99999, 100000]
+    assert tuple(bits(sparse)) == oracles.mask_elements(100000, sparse >> 1)
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.integers(min_value=1, max_value=200), st.data())
-def test_bitsubset_roundtrip(n, data):
+def test_subset_mask_roundtrip(n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
-    s = bits(n, mask)
-    assert s.elements() == oracles.mask_elements(n, mask)
-    assert BitSubset.from_elements(n, s.elements()).mask == mask
-    assert len(s) == len(s.elements())
+    elements = bits(mask << 1)
+    assert tuple(elements) == oracles.mask_elements(n, mask)
+    assert mask_of(elements) == mask << 1
+    assert len(elements) == mask.bit_count()
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_is_member_rejects_non_subset_masks(kind):
+    for mask in (-2, -1, 1, 0b111):
+        with pytest.raises(ValueError):
+            families.is_member(kind, mask)
+
+
+def test_is_member_stops_at_first_failure(monkeypatch):
+    # {1, ..., 3000} fails primitivity at 2, which 1 rules out, so the rules
+    # never see an element past 1
+    seen = []
+    rule = families._RULES["primitive"]
+
+    def counting(kind, universe):
+        state, cand, grow = rule(kind, universe)
+
+        def logged(state, mask, x):
+            seen.append(x)
+            return grow(state, mask, x)
+
+        return state, cand, logged
+
+    monkeypatch.setitem(families._RULES, "primitive", counting)
+    assert not families.is_member(PRIMITIVE, (1 << 3001) - 2)
+    assert seen == [1]
 
 
 # --- membership against the direct predicates ---------------------------------
@@ -99,7 +118,7 @@ def test_is_member_matches_oracle(kind):
     for n in range(1, 11):
         pred = oracles.oracle_predicate(kind.name, kind.s)
         for mask in range(1 << n):
-            got = families.is_member(kind, bits(n, mask))
+            got = families.is_member(kind, mask << 1)
             assert got == pred(oracles.mask_elements(n, mask)), (n, mask)
 
 
@@ -107,7 +126,7 @@ def test_is_member_matches_oracle(kind):
 def test_members_match_oracle(kind):
     for n in range(1, 11):
         got = families.members(kind, n)
-        assert got == sorted(oracles.member_masks(kind.name, n, kind.s))
+        assert got == sorted(m << 1 for m in oracles.member_masks(kind.name, n, kind.s))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
@@ -135,9 +154,9 @@ def test_smultiple_bound_at_least_n_admits_every_subset():
         tri = families.count_triangle(kind, 12)
         for n in range(1, 13):
             assert tri.rows[n - 1] == tuple(math.comb(n, k) for k in range(n + 1))
-        assert families.members(kind, 8) == list(range(1 << 8))
-        assert [m.mask for m in families.maximal_members(kind, 8)] == [(1 << 8) - 1]
-        assert families.is_member(kind, BitSubset.from_elements(12, range(1, 13)))
+        assert families.members(kind, 8) == list(range(0, 1 << 9, 2))
+        assert families.maximal_members(kind, 8) == [mask_of(range(1, 9))]
+        assert families.is_member(kind, mask_of(range(1, 13)))
 
 
 # --- count triangles ------------------------------------------------------------
@@ -184,12 +203,12 @@ def _free_prime_additions(kind, n, avoid=0):
     nonempty set of those primes, whether their union is a member by the
     oracle predicate)."""
     free = numthy.chebyshev_primes(n)
-    free_mask = sum(1 << (p - 1) for p in free)
+    free_mask = mask_of(free)
     pred = oracles.oracle_predicate(kind.name, kind.s)
     for mask in families.members(kind, n):
         if mask & (free_mask | avoid):
             continue
-        elems = oracles.mask_elements(n, mask)
+        elems = oracles.mask_elements(n, mask >> 1)
         for r in range(1, len(free) + 1):
             for extra in combinations(free, r):
                 yield elems, extra, pred(elems + extra)
@@ -219,7 +238,7 @@ def test_free_primes_sound_without_one(kind):
     # maximal_members' split is exact iff a member without 1 plus any set of
     # the free primes is a member
     for n in range(2, 15):
-        for elems, extra, ok in _free_prime_additions(kind, n, avoid=1):
+        for elems, extra, ok in _free_prime_additions(kind, n, avoid=mask_of([1])):
             assert ok, (n, elems, extra)
 
 
@@ -275,6 +294,20 @@ def test_small_count_closed_forms():
         families.small_count_closed_form(PRIMITIVE, 1, 1)
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_empty_universe_rejected(kind):
+    # n < 1 is one ValueError everywhere, the coprime-free clique route included
+    for call in (
+        families.members,
+        families.maximal_members,
+        families.partition_components,
+        families.count_triangle,
+    ):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                call(kind, n)
+
+
 def test_guard():
     with pytest.raises(EnumerationGuardError):
         families.count_triangle(PRIMITIVE, 25)
@@ -291,8 +324,8 @@ def test_guard():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_maximal_members_match_oracle(kind):
     for n in range(1, 11):
-        got = [s.mask for s in families.maximal_members(kind, n)]
-        assert got == oracles.maximal_masks(kind.name, n, kind.s)
+        got = families.maximal_members(kind, n)
+        assert got == [m << 1 for m in oracles.maximal_masks(kind.name, n, kind.s)]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
@@ -301,10 +334,10 @@ def test_maximal_fold_matches_full_walk(kind):
     # they meet it); the filter over every member is the reference
     for n in range(1, 21):
         full = families.members(kind, n)
-        got = [s.mask for s in families.maximal_members(kind, n)]
+        got = families.maximal_members(kind, n)
         assert got == families._maximal_masks(full, n), n
-        free = sum(1 << (p - 1) for p in numthy.chebyshev_primes(n))
-        for avoid in (1, free, free | 1):
+        one, free = mask_of([1]), mask_of(numthy.chebyshev_primes(n))
+        for avoid in (one, free, free | one):
             want = [m for m in full if not m & avoid]
             assert families.members(kind, n, avoid=avoid) == want, (n, avoid)
 
@@ -312,28 +345,28 @@ def test_maximal_fold_matches_full_walk(kind):
 def test_coprimefree_maximal_dual_route():
     # clique construction versus the generic one-element-extension filter
     for n in range(1, 15):
-        clique_route = [s.mask for s in families.maximal_members(COPRIME_FREE, n)]
+        clique_route = families.maximal_members(COPRIME_FREE, n)
         masks = set(families.members(COPRIME_FREE, n))
         filter_route = sorted(
             m
             for m in masks
-            if all(m >> i & 1 or (m | 1 << i) not in masks for i in range(n))
+            if all(m >> i & 1 or (m | 1 << i) not in masks for i in range(1, n + 1))
         )
         assert clique_route == filter_route
 
 
 def test_maximal_examples():
     prim4 = families.maximal_members(PRIMITIVE, 4)
-    assert [s.elements() for s in prim4] == [(1,), (2, 3), (3, 4)]
+    assert [bits(s) for s in prim4] == [[1], [2, 3], [3, 4]]
     cf4 = families.maximal_members(COPRIME_FREE, 4)
-    assert [s.elements() for s in cf4] == [(1,), (3,), (2, 4)]
+    assert [bits(s) for s in cf4] == [[1], [3], [2, 4]]
     pf4 = families.maximal_members(PRODUCT_FREE, 4)
-    assert [s.elements() for s in pf4] == [(2, 3), (3, 4)]
+    assert [bits(s) for s in pf4] == [[2, 3], [3, 4]]
 
 
 def test_coprimefree_maximal_large_n_contains_evens():
     coatoms = families.maximal_members(COPRIME_FREE, 100)
-    evens = BitSubset.from_elements(100, range(2, 101, 2))
+    evens = mask_of(range(2, 101, 2))
     assert evens in coatoms
 
 
@@ -342,9 +375,9 @@ def test_partition_primitive_4():
     assert isinstance(out, Partition)
     assert out.m == 2
     assert list(out.maximal) == families.maximal_members(PRIMITIVE, 4)
-    assert [[s.elements() for s in cls] for cls in out.classes] == [
-        [(1,)],
-        [(2, 3), (3, 4)],
+    assert [[bits(s) for s in cls] for cls in out.classes] == [
+        [[1]],
+        [[2, 3], [3, 4]],
     ]
 
 
@@ -376,10 +409,10 @@ def test_partition_witness_coprimefree_10():
     assert isinstance(out, FailureWitness)
     assert list(out.maximal) == families.maximal_members(COPRIME_FREE, 10)
     a, b = out.pair
-    assert (a.elements(), b.elements()) == ((3, 6, 9), (5, 10))
-    assert a.mask & b.mask == 0
-    elements = [s.elements() for s in out.component]
-    assert (2, 4, 6, 8, 10) in elements
+    assert (bits(a), bits(b)) == ([3, 6, 9], [5, 10])
+    assert a & b == 0
+    elements = [bits(s) for s in out.component]
+    assert [2, 4, 6, 8, 10] in elements
 
 
 def test_partition_coprimefree_small():
@@ -397,7 +430,7 @@ def test_partition_coprimefree_small():
 def test_is_member_sampled_against_oracle(kind, n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     pred = oracles.oracle_predicate(kind.name, kind.s)
-    got = families.is_member(kind, bits(n, mask))
+    got = families.is_member(kind, mask << 1)
     assert got == pred(oracles.mask_elements(n, mask))
 
 
@@ -410,9 +443,9 @@ def test_is_member_sampled_against_oracle(kind, n, data):
 def test_is_member_large_elements_against_oracle(kind, base, multipliers):
     # multiples of one base give large elements that still divide and share
     # factors; the fold's tables cover the subset's own elements, not 1..max
-    s = BitSubset.from_elements(3000, [base * m for m in multipliers])
+    elements = sorted(base * m for m in multipliers)
     pred = oracles.oracle_predicate(kind.name, kind.s)
-    assert families.is_member(kind, s) == pred(s.elements())
+    assert families.is_member(kind, mask_of(elements)) == pred(tuple(elements))
 
 
 def test_distinct_pair_products_many_elements():
@@ -420,8 +453,7 @@ def test_distinct_pair_products_many_elements():
     # one at the largest elements, so the fold runs through the whole subset
     primes = numthy.sieve(2500).primes()[:300]
     p = numthy.sieve(5000).primes()[-1]
-    n = 3 * p
-    assert families.is_member(DISTINCT_PAIR_PRODUCTS, BitSubset.from_elements(n, primes))
-    clash = BitSubset.from_elements(n, primes + [2 * p, 3 * p])
+    assert families.is_member(DISTINCT_PAIR_PRODUCTS, mask_of(primes))
+    clash = mask_of(primes + [2 * p, 3 * p])
     assert not families.is_member(DISTINCT_PAIR_PRODUCTS, clash)
-    assert families.is_member(DISTINCT_PAIR_PRODUCTS, BitSubset.from_elements(n, primes + [3 * p]))
+    assert families.is_member(DISTINCT_PAIR_PRODUCTS, mask_of(primes + [3 * p]))
