@@ -251,15 +251,22 @@ def cmd_homology(
 
 def cmd_scan_h2(n_from: int, n_to: int, fmt: str = "csv") -> tuple[int, str]:
     """H~2 of the reduced pairwise-non-coprime complex for each n in the range,
-    flagging the first n where the group is nontrivial."""
+    flagging the first n where the group is nontrivial. Consecutive rows whose
+    models differ only in isolated vertices share one elimination."""
     if not 1 <= n_from <= n_to:
         raise ValueError("need 1 <= --n-from <= --n-to")
     if n_to > SCAN_LIMIT:
         raise ValueError(f"scan limited to n <= {SCAN_LIMIT}")
     rows: list[tuple] = []
     first: tuple | None = None
+    linked = None
     for n in range(n_from, n_to + 1):
-        group = reduced_homology(coprime_free_collapsed(n), 2)[2]
+        c = coprime_free_collapsed(n)
+        # isolated vertices (1 and the primes in (n/2, n]) change only H~0, so a
+        # row whose facets of two or more vertices match the previous row's
+        # has the previous row's H~2
+        if (row_linked := [f for f in c.facets if f & f - 1]) != linked:
+            linked, group = row_linked, reduced_homology(c, 2)[2]
         cell = _torsion_cell(group.torsion)
         rows.append((n, group.rank, cell))
         if first is None and (group.rank or group.torsion):

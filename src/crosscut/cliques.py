@@ -7,6 +7,8 @@ from collections.abc import Callable, Iterable
 
 def bits(mask: int) -> list[int]:
     """The positions of the set bits of a non-negative int, ascending."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     out = []
     while mask:
         out.append((mask & -mask).bit_length() - 1)

@@ -26,8 +26,11 @@ def _face_mask(face) -> int:
 
 def _maximal_faces(masks) -> tuple[int, ...]:
     """The nonempty faces inside no other face, ascending."""
+    faces = set(masks) - {0}
+    if (low := min(faces, default=0)) < 0:
+        raise ValueError(f"face mask {low} is negative")
     kept: list[int] = []
-    for f in sorted(set(masks) - {0}, key=int.bit_count, reverse=True):
+    for f in sorted(faces, key=int.bit_count, reverse=True):
         if all(f & ~g for g in kept):
             kept.append(f)
     return tuple(sorted(kept))
@@ -46,7 +49,8 @@ class SimplicialComplex:
 
     @classmethod
     def from_masks(cls, masks) -> SimplicialComplex:
-        """The complex generated by faces given as vertex masks."""
+        """The complex generated by faces given as vertex masks; a negative mask,
+        which has no finite vertex set, raises ValueError."""
         c = cls.__new__(cls)
         c.facets = _maximal_faces(masks)
         return c

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from crosscut import families
+from crosscut import cli, families
 from crosscut.cli import (
     BFileParseError,
     OutputRecord,
@@ -19,7 +19,9 @@ from crosscut.cli import (
     main,
     parse_bfile,
 )
+from crosscut.complexes import coprime_free_collapsed
 from crosscut.families import kind_from_name
+from crosscut.homology import HomologyGroup, reduced_homology
 from crosscut.lattice import FamilyLattice
 
 import oracles
@@ -147,6 +149,38 @@ def test_scan_h2_trivial_range():
     assert lines[-1] == "# no nontrivial H~2 in range"
     with pytest.raises(ValueError):
         cmd_scan_h2(1, 500)
+
+
+def _linked_facets(c):
+    return [f for f in c.facets if f & f - 1]
+
+
+# 8 is not squarefree and 37 is prime, so at both starts the model differs from
+# row n - 1's only in isolated vertices: a scan that began mid-run would reuse there
+@pytest.mark.parametrize("lo, hi", [(8, 70), (37, 60)])
+def test_scan_h2_rows_match_standalone_homology(lo, hi, monkeypatch):
+    models = [coprime_free_collapsed(n) for n in range(lo, hi + 1)]
+    rows = [tuple(line.split(",")) for line in cmd_scan_h2(lo, hi)[1].splitlines()[1 : hi - lo + 2]]
+    want = []
+    for n, c in enumerate(models, lo):
+        group = reduced_homology(c, 2)[2]
+        want.append((str(n), str(group.rank), "x".join(map(str, group.torsion)) or "-"))
+    assert rows == want
+    # every H~2 here is 0, so tag each elimination's group with its call number
+    # to see which model each row's group came from
+    eliminated = []
+
+    def tagged(c, d_max):
+        eliminated.append(c)
+        return [HomologyGroup(0)] * d_max + [HomologyGroup(len(eliminated))]
+
+    monkeypatch.setattr(cli, "reduced_homology", tagged)
+    rows = cmd_scan_h2(lo, hi)[1].splitlines()[1 : hi - lo + 2]
+    for c, row in zip(models, rows):
+        call = int(row.split(",")[1])
+        assert call > 0 and _linked_facets(eliminated[call - 1]) == _linked_facets(c), row
+    changes = sum(_linked_facets(a) != _linked_facets(b) for a, b in zip(models, models[1:]))
+    assert len(eliminated) == 1 + changes
 
 
 def test_maximal_partition_report():

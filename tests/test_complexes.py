@@ -56,6 +56,15 @@ def test_vertex_labels_must_be_non_negative_ints(label):
         SimplicialComplex([(1, label)])
 
 
+@pytest.mark.parametrize("negative", [-1, -3, -(1 << 70)])
+def test_negative_masks_are_rejected(negative):
+    # a negative int has infinitely many set bits: bits() would never end on it
+    with pytest.raises(ValueError, match=f"mask {negative} is negative"):
+        SimplicialComplex.from_masks([mask(1, 2), negative])
+    with pytest.raises(ValueError, match=f"mask {negative} is negative"):
+        bits(negative)
+
+
 def test_void_complex():
     c = SimplicialComplex([])
     assert c.facets == ()
