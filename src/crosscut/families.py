@@ -93,7 +93,8 @@ def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
 # allowed. A rule over the possible elements (1..n, or a subset's own for
 # is_member) is (state, candidates, grow); grow(state, mask, x) adds x to the
 # member `mask` and returns the next state and the mask of elements x rules out,
-# or _REJECT. Tables fill per element on first use, so an early exit is cheap.
+# or _REJECT. A rule whose state is None only forbids and never returns
+# _REJECT. Tables fill per element on first use, so an early exit is cheap.
 
 _REJECT = object()
 _ONE = 1 << 1  # the mask of {1}
@@ -231,7 +232,8 @@ def is_member(kind: FamilyKind, subset: int) -> bool:
 def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0, with_one: bool = False) -> None:
     """Call visit(mask, largest element, size) on every nonempty member that
     avoids the elements in the mask `avoid`, depth first; with_one keeps to the
-    members that hold 1."""
+    members that hold 1. A rule without state only forbids, so a node's last
+    candidate is a member and a leaf, visited without calling the rule."""
     state, cand, grow = _RULES[kind.name](kind, range(1, n + 1))
     cand &= ~avoid
 
@@ -240,6 +242,9 @@ def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0, with_one: bool = Fals
             bit = cand & -cand
             cand ^= bit
             x = bit.bit_length() - 1
+            if not cand and state is None:
+                visit(mask | bit, x, k)
+                return
             grown = grow(state, mask, x)
             if grown is _REJECT:
                 continue
@@ -343,7 +348,8 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
 
     One DFS pass aggregates members by (max element, cardinality); row n is the
     cumulative sum over max <= n. The walk skips the free primes of
-    _FREE_PRIME_FAMILIES, and _add_free folds them back in.
+    _FREE_PRIME_FAMILIES, and _add_free folds them back in. A rule without
+    state only forbids, and the walk skips it on a node's last candidate.
     """
     _check_size(n_max)
     _check_guard(n_max, guard)

@@ -18,7 +18,7 @@ from crosscut.complexes import (
     strong_collapse,
 )
 from crosscut.families import COPRIME_FREE, PRIMITIVE, PRODUCT_FREE, s_multiple
-from crosscut.homology import reduced_homology
+from crosscut.homology import HomologyGroup, reduced_homology
 
 import oracles
 
@@ -225,6 +225,22 @@ def test_coprime_free_collapsed_has_octahedron_at_143():
     missing = [f for f in combinations(octa, 3) if not has_face(c, f)]
     for f in missing:
         assert any(gcd(a, b) == 1 for a, b in combinations(f, 2))
+
+
+def test_strong_collapse_of_reduced_model_h2_first_at_143():
+    # a second route to the paper's claim that H~2 is first nontrivial at
+    # n = 143: strong collapse keeps the homotopy type, and at 143 it leaves
+    # the octahedron plus isolated vertices
+    for n in range(1, 143):
+        c = strong_collapse(coprime_free_collapsed(n))
+        assert reduced_homology(c, 2)[2] == HomologyGroup(0), n
+    c = strong_collapse(coprime_free_collapsed(143))
+    assert [len(level) for level in faces_by_dimension(c, 3)] == [21, 12, 8, 0]
+    assert reduced_homology(c, 2)[2] == HomologyGroup(1)
+    # the 8 facets of two or more vertices, opposite vertices sharing no prime
+    antipodes = {42: 1, 143: 2, 66: 3, 91: 4, 77: 5, 78: 6}
+    solid = [[antipodes[v] for v in bits(f)] for f in c.facets if f & f - 1]
+    assert SimplicialComplex(solid) == OCTAHEDRON
 
 
 def test_coprime_free_collapsed_matches_face_complex_homology():

@@ -198,6 +198,45 @@ def test_count_triangle_fold_matches_full_walk(kind):
         assert families.count_triangle(kind, n).rows[n - 1] == tuple(sizes), n
 
 
+def _walk_calling_every_candidate(kind, n):
+    """The visits (mask, largest element, size) of a walk that calls the rule on
+    every candidate still allowed at every member, and how often it rejected."""
+    state, cand, grow = families._RULES[kind.name](kind, range(1, n + 1))
+    visits, rejects = [], 0
+
+    def rec(state, mask, cand, k):
+        nonlocal rejects
+        for x in bits(cand):
+            cand ^= 1 << x
+            grown = grow(state, mask, x)
+            if grown is families._REJECT:
+                rejects += 1
+                continue
+            visits.append((mask | 1 << x, x, k))
+            rec(grown[0], mask | 1 << x, cand & ~grown[1], k + 1)
+
+    rec(state, 0, cand, 1)
+    return visits, rejects
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_stateless_rules_only_forbid(kind):
+    # _walk visits a node's last candidate without calling a rule whose state is
+    # None, which is sound only while such a rule never rejects; the visits
+    # match a walk that calls the rule every time, order included
+    stateless = families._RULES[kind.name](kind, range(1, 2))[0] is None
+    assert stateless == (kind not in (DISTINCT_PAIR_PRODUCTS, NO_DIVISOR_OF_PAIR_PRODUCT))
+    rejected = 0
+    for n in range(1, 15):
+        visits, rejects = _walk_calling_every_candidate(kind, n)
+        walked = []
+        families._walk(kind, n, lambda *v: walked.append(v))
+        assert walked == visits, n
+        assert not (stateless and rejects), n
+        rejected += rejects
+    assert stateless or rejected
+
+
 def _free_prime_additions(kind, n, avoid=0):
     """Each (member avoiding the primes in (n/2, n] and the mask `avoid`,
     nonempty set of those primes, whether their union is a member by the

@@ -38,7 +38,8 @@ RP2 = SimplicialComplex(
 )
 
 # up to six faces on the vertices 1..6, the complexes the random properties draw;
-# too few faces for torsion, which first needs RP2's ten triangles
+# too few faces for torsion, which first needs RP2's ten triangles, so
+# rp2_with_random_complex joins RP2 to them
 RANDOM_FACES = st.lists(
     st.frozensets(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
     min_size=1,
@@ -263,3 +264,31 @@ def test_projective_plane_torsion_under_relabelling(labels):
     assert reduced_homology(relabel(RP2, labels), 2) == [
         HomologyGroup(0), HomologyGroup(0, (2,)), HomologyGroup(0),
     ]
+
+
+@st.composite
+def rp2_with_random_complex(draw):
+    """The faces of a RANDOM_FACES complex plus RP2 relabelled onto six vertices,
+    from 7..40 for a disjoint union, or with one of them on a vertex of the
+    random complex for a one-vertex wedge; RP2 brings the only torsion."""
+    faces = draw(RANDOM_FACES)
+    labels = [0, *draw(st.lists(st.integers(7, 40), min_size=6, max_size=6, unique=True))]
+    if draw(st.booleans()):
+        wedge = draw(st.sampled_from(sorted(set().union(*faces))))
+        labels[draw(st.integers(1, 6))] = wedge
+    return [*faces, *([labels[v] for v in bits(f)] for f in RP2.facets)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(rp2_with_random_complex(), st.permutations(range(41)))
+def test_random_complexes_with_torsion(faces, labels):
+    c = SimplicialComplex(faces)
+    d = c.dim
+    groups = reduced_homology(c, d)
+    assert [g.torsion for g in groups] == [(), (2,), *[()] * (d - 1)]
+    maps = [boundary_matrix(c, k) for k in range(d + 2)]
+    ranks = [oracles.rank_over_q(m.to_dense()) for m in maps]
+    for k, g in enumerate(groups):
+        assert g.rank == len(maps[k].cols) - ranks[k] - ranks[k + 1], k
+    assert euler_check(c, d)
+    assert reduced_homology(relabel(c, labels), d) == groups
