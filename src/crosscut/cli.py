@@ -225,8 +225,6 @@ def cmd_homology(
             raise ValueError(f"coprime-free homology limited to n <= {SCAN_LIMIT}")
         c = coprime_free_collapsed(n)
     else:
-        # the coprime-free maximal members come from cliques, which skip the guard
-        families._check_guard(n, guard)
         c = face_complex(kind, n, guard)
         if collapse:
             c = strong_collapse(c)

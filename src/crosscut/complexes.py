@@ -89,6 +89,7 @@ def nerve(sets) -> SimplicialComplex:
 
 def face_complex(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> SimplicialComplex:
     """Complex whose faces are exactly the members of the family."""
+    families._check_guard(n, guard)
     return SimplicialComplex.from_masks(families.maximal_members(kind, n, guard))
 
 

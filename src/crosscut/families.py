@@ -38,7 +38,7 @@ class FamilyKind:
         if self.name == "smultiple":
             if self.s is None or self.s < 1:
                 raise ValueError("smultiple needs s >= 1")
-        elif self.name not in _STATELESS_NAMES:
+        elif self.name not in _NAMES_WITHOUT_S:
             raise ValueError(f"unknown family name: {self.name!r}")
         elif self.s is not None:
             raise ValueError(f"{self.name} takes no s parameter")
@@ -47,7 +47,7 @@ class FamilyKind:
         return f"smultiple(s={self.s})" if self.name == "smultiple" else self.name
 
 
-_STATELESS_NAMES = frozenset(
+_NAMES_WITHOUT_S = frozenset(
     [
         "primitive",
         "coprime",
@@ -72,7 +72,7 @@ def s_multiple(s: int) -> FamilyKind:
     return FamilyKind("smultiple", s)
 
 
-FAMILY_NAMES = tuple(sorted(_STATELESS_NAMES)) + ("smultiple",)
+FAMILY_NAMES = tuple(sorted(_NAMES_WITHOUT_S)) + ("smultiple",)
 
 
 def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
@@ -91,12 +91,11 @@ def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
 # Every family here is downward closed, so each member is reachable by adding
 # elements in ascending order, carrying a mask of the larger elements still
 # allowed. A rule over the possible elements (1..n, or a subset's own for
-# is_member) is (state, candidates, grow); grow(state, mask, x) adds x to the
-# member `mask` and returns the next state and the mask of elements x rules out,
-# or _REJECT. A rule whose state is None only forbids and never returns
-# _REJECT. Tables fill per element on first use, so an early exit is cheap.
+# is_member) is (candidates, forbid); forbid(mask, x) adds x to the member `mask`
+# and returns the mask of the larger elements that would complete a forbidden
+# configuration with x (one without x was ruled on at its own largest element).
+# Tables fill per element on first use, so an early exit is cheap.
 
-_REJECT = object()
 _ONE = 1 << 1  # the mask of {1}
 
 
@@ -120,23 +119,23 @@ _CONFLICTS = {
 
 def _rule_pairwise(kind: FamilyKind, universe):
     conflict = _relation(universe, _CONFLICTS[kind.name])
-    return None, _mask(universe), lambda state, mask, x: (None, conflict(x))
+    return _mask(universe), lambda mask, x: conflict(x)
 
 
 def _rule_productfree(kind: FamilyKind, universe):
     # Adding x forbids x*a <= n for a in the set or a = x; 1 is never allowed.
     n = max(universe, default=0)
 
-    def grow(state, mask, x):
-        forbid = 0
+    def forbid(mask, x):
+        out = 0
         small = (mask | 1 << x) & ((2 << n // x) - 1)
         while small:
             bit = small & -small
             small ^= bit
-            forbid |= 1 << x * (bit.bit_length() - 1)
-        return None, forbid
+            out |= 1 << x * (bit.bit_length() - 1)
+        return out
 
-    return None, _mask(universe) & ~_ONE, grow
+    return _mask(universe) & ~_ONE, forbid
 
 
 def _rule_smultiple(kind: FamilyKind, universe):
@@ -144,58 +143,54 @@ def _rule_smultiple(kind: FamilyKind, universe):
     multiples = _relation(universe, lambda a, m: m % a == 0)
     divisors = cache(lambda x: [(1 << a, multiples(a)) for a in universe if x % a == 0])
 
-    def grow(state, mask, x):
+    def forbid(mask, x):
         grown = mask | 1 << x
-        forbid = 0
+        out = 0
         for bit, m in divisors(x):
             if grown & bit and (grown & m).bit_count() == kind.s:
-                forbid |= m
-        return None, forbid
+                out |= m
+        return out
 
-    return None, _mask(universe), grow
+    return _mask(universe), forbid
 
 
 def _rule_distinctpairproducts(kind: FamilyKind, universe):
-    # state: (one bit per distinct product of two distinct elements so far, the
-    # elements). Pairs sharing an element cannot collide, so injectivity is the
-    # condition. Rows hold bit indices, not bits: O(k^2) memory for k elements.
-    index: dict[int, int] = {}
-    rows = cache(lambda x: {a: index.setdefault(x * a, len(index)) for a in universe if a < x})
+    # A larger y repeats a product only as y*a = x*d with a < d in the set: two
+    # products that both hold y are never equal, and y = c*d/x < x.
+    n = max(universe, default=0)
 
-    def grow(state, mask, x):
-        products, elems = state
-        row = rows(x)
-        fresh = 0
-        for a in elems:
-            fresh |= 1 << row[a]
-        if products & fresh:
-            return _REJECT
-        return (products | fresh, elems + (x,)), 0
+    def forbid(mask, x):
+        elems = bits(mask)
+        out = 0
+        for i, a in enumerate(elems):
+            for d in elems[i + 1 :]:
+                xd = x * d
+                if xd > n * a:
+                    break
+                if xd % a == 0:
+                    out |= 1 << xd // a
+        return out
 
-    return (0, ()), _mask(universe), grow
+    return _mask(universe), forbid
 
 
 def _rule_nodivisorofpairproduct(kind: FamilyKind, universe):
     # condition: for i,j,k in the set with i not in {j,k}, i does not divide j*k
-    # (j = k allowed). state: the elements so far, ascending.
-    def grow(elems, mask, x):
-        xx = x * x
-        for i in elems:
-            if xx % i == 0:
-                return _REJECT
-        for j in elems:
-            jx = j * x
-            for i in elems:
-                if i != j and jx % i == 0:
-                    return _REJECT
-        k = len(elems)
-        for a in range(k):
-            for b in range(a, k):
-                if (elems[a] * elems[b]) % x == 0:
-                    return _REJECT
-        return elems + (x,), 0
+    # (j = k allowed). A larger y completes one with x when y | x*k (k = x or in
+    # the set), x | y*k (k = y: root(x) | y; k in the set: x/gcd(x,k) | y) or
+    # k | x*y (k in the set), where root(x) = x/d for the largest d with d*d | x.
+    divisors = _relation(universe, lambda m, y: m % y == 0)
+    multiples = _relation(universe, lambda a, y: y % a == 0)
+    root = cache(lambda x: x // max(d for d in range(1, math.isqrt(x) + 1) if x % (d * d) == 0))
 
-    return (), _mask(universe), grow
+    def forbid(mask, x):
+        out = divisors(x * x) | multiples(root(x))
+        for k in bits(mask):
+            g = math.gcd(x, k)
+            out |= divisors(x * k) | multiples(x // g) | multiples(k // g)
+        return out
+
+    return _mask(universe), forbid
 
 
 _RULES = {
@@ -211,54 +206,43 @@ def is_member(kind: FamilyKind, subset: int) -> bool:
     """Whether the subset mask satisfies the family's defining condition.
 
     Depends only on the elements, never on the universe size; the empty set
-    always belongs.
+    always belongs; stops at the first element that an earlier one ruled out.
     """
     if subset < 0 or subset & 1:
         raise ValueError(f"{subset} is not a subset mask: negative or bit 0 set")
     elems = bits(subset)
-    state, cand, grow = _RULES[kind.name](kind, elems)
+    cand, forbid = _RULES[kind.name](kind, elems)
     mask = 0
     for x in elems:
-        bit = 1 << x
-        grown = _REJECT if not cand & bit else grow(state, mask, x)
-        if grown is _REJECT:
+        if not cand >> x & 1:
             return False
-        state, forbid = grown
-        cand &= ~forbid
-        mask |= bit
+        cand &= ~forbid(mask, x)
+        mask |= 1 << x
     return True
 
 
 def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0, with_one: bool = False) -> None:
     """Call visit(mask, largest element, size) on every nonempty member that
     avoids the elements in the mask `avoid`, depth first; with_one keeps to the
-    members that hold 1. A rule without state only forbids, so a node's last
-    candidate is a member and a leaf, visited without calling the rule."""
-    state, cand, grow = _RULES[kind.name](kind, range(1, n + 1))
+    members that hold 1. Every candidate still allowed extends the member, so a
+    node's last candidate is a leaf, visited without calling the rule."""
+    cand, forbid = _RULES[kind.name](kind, range(1, n + 1))
     cand &= ~avoid
 
-    def rec(state, mask, cand, k):
+    def rec(mask, cand, k):
         while cand:
             bit = cand & -cand
             cand ^= bit
             x = bit.bit_length() - 1
-            if not cand and state is None:
-                visit(mask | bit, x, k)
-                return
-            grown = grow(state, mask, x)
-            if grown is _REJECT:
-                continue
-            child, forbid = grown
-            gmask = mask | bit
-            visit(gmask, x, k)
-            if rest := cand & ~forbid:
-                rec(child, gmask, rest, k + 1)
+            visit(mask | bit, x, k)
+            if cand and (rest := cand & ~forbid(mask, x)):
+                rec(mask | bit, rest, k + 1)
 
     if not with_one:
-        rec(state, 0, cand, 1)
-    elif cand & _ONE and (grown := grow(state, 0, 1)) is not _REJECT:
+        rec(0, cand, 1)
+    elif cand & _ONE:
         visit(_ONE, 1, 1)
-        rec(grown[0], _ONE, cand & ~grown[1] & ~_ONE, 2)
+        rec(_ONE, cand & ~forbid(0, 1) & ~_ONE, 2)
 
 
 def _check_size(n: int) -> None:
@@ -348,8 +332,7 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
 
     One DFS pass aggregates members by (max element, cardinality); row n is the
     cumulative sum over max <= n. The walk skips the free primes of
-    _FREE_PRIME_FAMILIES, and _add_free folds them back in. A rule without
-    state only forbids, and the walk skips it on a node's last candidate.
+    _FREE_PRIME_FAMILIES, and _add_free folds them back in.
     """
     _check_size(n_max)
     _check_guard(n_max, guard)

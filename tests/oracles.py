@@ -50,6 +50,14 @@ def is_distinct_pair_products(elems) -> bool:
     )
 
 
+def pair_products_differ(elems) -> bool:
+    """is_distinct_pair_products in O(k^2) rather than O(k^4): the products of
+    two distinct elements all differ. Two pairs that share an element never
+    have equal products, so this is the same condition."""
+    products = [i * j for i, j in combinations(elems, 2)]
+    return len(set(products)) == len(products)
+
+
 def is_no_divisor_of_pair_product(elems) -> bool:
     items = set(elems)
     return all(

@@ -173,7 +173,7 @@ def test_criterion_8_oracle_equivalence():
 
     # strong collapse preserves homology of the pairwise-non-coprime complex
     for n in range(1, 31):
-        full = face_complex(COPRIME_FREE, n)
+        full = face_complex(COPRIME_FREE, n, guard=30)
         groups = reduced_homology(full, 3)
         assert reduced_homology(strong_collapse(full), 3) == groups, n
         assert reduced_homology(coprime_free_collapsed(n), 3) == groups, n

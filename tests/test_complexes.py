@@ -17,7 +17,13 @@ from crosscut.complexes import (
     nerve,
     strong_collapse,
 )
-from crosscut.families import COPRIME_FREE, PRIMITIVE, PRODUCT_FREE, s_multiple
+from crosscut.families import (
+    COPRIME_FREE,
+    PRIMITIVE,
+    PRODUCT_FREE,
+    EnumerationGuardError,
+    s_multiple,
+)
 from crosscut.homology import HomologyGroup, reduced_homology
 
 import oracles
@@ -141,6 +147,15 @@ def test_face_complex_faces_are_members():
 
 def test_face_complex_of_empty_family_is_void():
     assert face_complex(PRODUCT_FREE, 1) == SimplicialComplex([])
+
+
+def test_face_complex_checks_the_guard_for_coprime_free():
+    # its maximal members come from cliques, which need no guard of their own
+    with pytest.raises(EnumerationGuardError):
+        face_complex(COPRIME_FREE, 25)
+    assert face_complex(COPRIME_FREE, 25, guard=25).facets == tuple(
+        families.maximal_members(COPRIME_FREE, 25)
+    )
 
 
 def test_clique_complex():

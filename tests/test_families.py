@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -97,13 +98,13 @@ def test_is_member_stops_at_first_failure(monkeypatch):
     rule = families._RULES["primitive"]
 
     def counting(kind, universe):
-        state, cand, grow = rule(kind, universe)
+        cand, forbid = rule(kind, universe)
 
-        def logged(state, mask, x):
+        def logged(mask, x):
             seen.append(x)
-            return grow(state, mask, x)
+            return forbid(mask, x)
 
-        return state, cand, logged
+        return cand, logged
 
     monkeypatch.setitem(families._RULES, "primitive", counting)
     assert not families.is_member(PRIMITIVE, (1 << 3001) - 2)
@@ -120,6 +121,40 @@ def test_is_member_matches_oracle(kind):
         for mask in range(1 << n):
             got = families.is_member(kind, mask << 1)
             assert got == pred(oracles.mask_elements(n, mask)), (n, mask)
+
+
+def test_pair_products_oracles_agree():
+    for mask in range(1 << 12):
+        elems = oracles.mask_elements(12, mask)
+        assert oracles.pair_products_differ(elems) == oracles.is_distinct_pair_products(elems)
+
+
+SMOOTH_5 = [m for m in range(1, 1001) if 30**10 % m == 0]  # dense in ab = cd and i | jk
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_is_member_matches_oracle_on_greedy_members(kind):
+    # members of up to 170 elements as large as 1000, grown greedily from a
+    # shuffled pool; at each step every extension that was still a member is
+    # checked, as one that was not stays out (downward closure). The O(k^4)
+    # pair-product oracle is too slow at this size.
+    if kind == DISTINCT_PAIR_PRODUCTS:
+        pred = oracles.pair_products_differ
+    else:
+        pred = oracles.oracle_predicate(kind.name, kind.s)
+    for pool in (SMOOTH_5, range(1, 200)):
+        left = list(pool)
+        random.Random(0).shuffle(left)
+        member = []
+        while left:
+            tried, left = left, []
+            for x in tried:
+                want = pred(member + [x])
+                assert families.is_member(kind, mask_of(member + [x])) == want, (member, x)
+                if want:
+                    left.append(x)
+            if left:
+                member.append(left.pop(0))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
@@ -199,42 +234,29 @@ def test_count_triangle_fold_matches_full_walk(kind):
 
 
 def _walk_calling_every_candidate(kind, n):
-    """The visits (mask, largest element, size) of a walk that calls the rule on
-    every candidate still allowed at every member, and how often it rejected."""
-    state, cand, grow = families._RULES[kind.name](kind, range(1, n + 1))
-    visits, rejects = [], 0
+    """The visits (mask, largest element, size) of a walk that calls the rule at
+    every member, leaves included."""
+    cand, forbid = families._RULES[kind.name](kind, range(1, n + 1))
+    visits = []
 
-    def rec(state, mask, cand, k):
-        nonlocal rejects
+    def rec(mask, cand, k):
         for x in bits(cand):
             cand ^= 1 << x
-            grown = grow(state, mask, x)
-            if grown is families._REJECT:
-                rejects += 1
-                continue
             visits.append((mask | 1 << x, x, k))
-            rec(grown[0], mask | 1 << x, cand & ~grown[1], k + 1)
+            rec(mask | 1 << x, cand & ~forbid(mask, x), k + 1)
 
-    rec(state, 0, cand, 1)
-    return visits, rejects
+    rec(0, cand, 1)
+    return visits
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_stateless_rules_only_forbid(kind):
-    # _walk visits a node's last candidate without calling a rule whose state is
-    # None, which is sound only while such a rule never rejects; the visits
-    # match a walk that calls the rule every time, order included
-    stateless = families._RULES[kind.name](kind, range(1, 2))[0] is None
-    assert stateless == (kind not in (DISTINCT_PAIR_PRODUCTS, NO_DIVISOR_OF_PAIR_PRODUCT))
-    rejected = 0
+    # _walk visits a node's last candidate without calling the rule; the visits
+    # match a walk that calls it every time, order included
     for n in range(1, 15):
-        visits, rejects = _walk_calling_every_candidate(kind, n)
         walked = []
         families._walk(kind, n, lambda *v: walked.append(v))
-        assert walked == visits, n
-        assert not (stateless and rejects), n
-        rejected += rejects
-    assert stateless or rejected
+        assert walked == _walk_calling_every_candidate(kind, n), n
 
 
 def _free_prime_additions(kind, n, avoid=0):
