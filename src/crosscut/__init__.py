@@ -46,6 +46,7 @@ from .numthy import (
     PrimeSieve,
     chebyshev_count,
     divisor_count,
+    factorize,
     is_squarefree,
     sieve,
     totient,

@@ -123,8 +123,6 @@ def cmd_table(
     kind: FamilyKind, n_max: int, fmt: str = "csv", guard: int = ENUMERATION_GUARD
 ) -> tuple[int, str]:
     """Count triangle as rows (n, k, count), JSON payload keyed by n."""
-    if n_max < 1:
-        raise ValueError("need --n >= 1")
     tri = families.count_triangle(kind, n_max, guard)
     rows = [(n, k, tri.count(n, k)) for n in range(1, n_max + 1) for k in range(n + 1)]
     payload = {str(n): [tri.count(n, k) for k in range(n + 1)] for n in range(1, n_max + 1)}
@@ -216,8 +214,6 @@ def cmd_homology(
 ) -> tuple[int, str]:
     """Reduced homology of the family's face complex, collapsed by default; the
     coprime-free family uses the direct reduced model, past the guard to SCAN_LIMIT."""
-    if n < 1:
-        raise ValueError("need --n >= 1")
     if d_max < 0:
         raise ValueError("need --dmax >= 0")
     if kind == families.COPRIME_FREE and collapse:
@@ -292,8 +288,6 @@ def cmd_maximal(
 ) -> tuple[int, str]:
     """List the maximal members and report the intersection-component partition
     or its failure witness."""
-    if n < 1:
-        raise ValueError("need --n >= 1")
     outcome = families.partition_components(kind, n, guard)
     rows = [(i, s.bit_count(), _elements(s)) for i, s in enumerate(outcome.maximal)]
     if isinstance(outcome, Partition):
@@ -422,13 +416,13 @@ def main(argv=None) -> int:
         print(f"warning: enumeration guard raised to 2^{guard}", file=sys.stderr)
     try:
         code, text = _dispatch(args, guard)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
     except (EnumerationGuardError, BFileParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
     return code
 
 

@@ -89,7 +89,7 @@ def nerve(sets) -> SimplicialComplex:
 
 def face_complex(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> SimplicialComplex:
     """Complex whose faces are exactly the members of the family."""
-    families._check_guard(n, guard)
+    families._check_size(n, guard)
     return SimplicialComplex.from_masks(families.maximal_members(kind, n, guard))
 
 
@@ -131,8 +131,7 @@ def coprime_free_collapsed(n: int) -> SimplicialComplex:
     the survivors are still the pairwise-non-coprime sets, and 1, coprime to
     everything, is a clique of its own.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    families._check_size(n)
     maximal_sf = [
         i
         for i in range(2, n + 1)

@@ -36,12 +36,12 @@ class FamilyKind:
 
     def __post_init__(self):
         if self.name == "smultiple":
-            if self.s is None or self.s < 1:
-                raise ValueError("smultiple needs s >= 1")
+            if type(self.s) is not int or self.s < 1:  # no bool, float or str
+                raise ValueError(f"family smultiple needs an int --s >= 1, got {self.s!r}")
         elif self.name not in _NAMES_WITHOUT_S:
             raise ValueError(f"unknown family name: {self.name!r}")
         elif self.s is not None:
-            raise ValueError(f"{self.name} takes no s parameter")
+            raise ValueError(f"family {self.name} takes no --s")
 
     def label(self) -> str:
         return f"smultiple(s={self.s})" if self.name == "smultiple" else self.name
@@ -77,13 +77,7 @@ FAMILY_NAMES = tuple(sorted(_NAMES_WITHOUT_S)) + ("smultiple",)
 
 def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
     """CLI-facing constructor: smultiple requires s, the others forbid it."""
-    if name == "smultiple":
-        if s is None:
-            raise ValueError("family smultiple requires --s")
-        return s_multiple(s)
-    if s is not None:
-        raise ValueError(f"family {name} takes no --s")
-    return FamilyKind(name)
+    return FamilyKind(name, s)
 
 
 # --- incremental extension rules ------------------------------------------------
@@ -174,14 +168,19 @@ def _rule_distinctpairproducts(kind: FamilyKind, universe):
     return _mask(universe), forbid
 
 
+def _root(x: int) -> int:
+    """The least m with x | m*m: the product of p^ceil(e/2) over x's factors p^e."""
+    return math.prod(p ** -(-e // 2) for p, e in numthy.factorize(x).items())
+
+
 def _rule_nodivisorofpairproduct(kind: FamilyKind, universe):
     # condition: for i,j,k in the set with i not in {j,k}, i does not divide j*k
     # (j = k allowed). A larger y completes one with x when y | x*k (k = x or in
     # the set), x | y*k (k = y: root(x) | y; k in the set: x/gcd(x,k) | y) or
-    # k | x*y (k in the set), where root(x) = x/d for the largest d with d*d | x.
+    # k | x*y (k in the set).
     divisors = _relation(universe, lambda m, y: m % y == 0)
     multiples = _relation(universe, lambda a, y: y % a == 0)
-    root = cache(lambda x: x // max(d for d in range(1, math.isqrt(x) + 1) if x % (d * d) == 0))
+    root = cache(_root)
 
     def forbid(mask, x):
         out = divisors(x * x) | multiples(root(x))
@@ -245,13 +244,10 @@ def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0, with_one: bool = Fals
         rec(_ONE, cand & ~forbid(0, 1) & ~_ONE, 2)
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, guard: int | None = None) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-
-
-def _check_guard(n: int, guard: int) -> None:
-    if n > guard:
+    if guard is not None and n > guard:
         raise EnumerationGuardError(
             f"n={n} exceeds the enumeration guard {guard}; pass a higher guard to override"
         )
@@ -260,8 +256,7 @@ def _check_guard(n: int, guard: int) -> None:
 def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD, avoid: int = 0) -> list[int]:
     """The mask of every member of the family within 2^[n] that avoids the
     elements in the mask `avoid`, ascending."""
-    _check_size(n)
-    _check_guard(n, guard)
+    _check_size(n, guard)
     masks = [0]
     _walk(kind, n, lambda mask, x, k: masks.append(mask), avoid)
     masks.sort()
@@ -334,8 +329,7 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
     cumulative sum over max <= n. The walk skips the free primes of
     _FREE_PRIME_FAMILIES, and _add_free folds them back in.
     """
-    _check_size(n_max)
-    _check_guard(n_max, guard)
+    _check_size(n_max, guard)
     by_max = [[0] * (n_max + 1) for _ in range(n_max + 1)]
     by_max[0][0] = 1  # the empty set
 

@@ -104,8 +104,6 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
                 for i, v in col.items():
                     if best is None or abs(v) < best[2]:
                         best = (j, i, abs(v))
-                if best is not None and best[2] == 1:
-                    break
             if best is None:
                 return pivots
             pj, pi = best[0], best[1]

@@ -17,8 +17,6 @@ from .cliques import bits
 from .complexes import SimplicialComplex
 from .families import ENUMERATION_GUARD, EnumerationGuardError, FamilyKind
 
-CHAIN_GUARD = 8
-
 
 class _Top:
     """Synthetic top element, distinct from every member."""
@@ -86,12 +84,9 @@ def mobius(lat: FamilyLattice, x, y) -> int:
     return -sum(-1 if (m.bit_count() - k) & 1 else 1 for m in lat._masks if x & ~m == 0)
 
 
-def is_crosscut(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> bool:
-    """True iff cut avoids bottom and top, is an antichain, and meets every maximal chain."""
-    if lat.n > guard:
-        raise EnumerationGuardError(
-            f"maximal-chain enumeration guarded at n <= {guard} (got n={lat.n})"
-        )
+def is_crosscut(lat: FamilyLattice, cut) -> bool:
+    """True iff cut avoids bottom and top, is an antichain, and meets every maximal
+    chain; the chain search visits each lattice element at most once."""
     cut = list(cut)
     if any(x is TOP for x in cut):
         return False
@@ -127,10 +122,16 @@ def is_spanning(lat: FamilyLattice, subset) -> bool:
     return bool(elems) and reduce(and_, elems) == 0 and reduce(or_, elems) not in lat._masks
 
 
-def crosscut_complex(lat: FamilyLattice, cut, guard: int = CHAIN_GUARD) -> SimplicialComplex:
+def crosscut_complex(lat: FamilyLattice, cut, guard: int = ENUMERATION_GUARD) -> SimplicialComplex:
     """The literal cross-cut complex: one vertex per element of the cut (indexed in
-    mask order), and a face for every subset that does not span."""
-    if not is_crosscut(lat, cut, guard):
+    mask order), and a face for every subset that does not span. It tests all
+    2^|cut| subsets, so a cut larger than the guard raises EnumerationGuardError."""
+    cut = list(cut)
+    if len(cut) > guard:
+        raise EnumerationGuardError(
+            f"a cut of {len(cut)} elements has 2^{len(cut)} subsets, past the guard 2^{guard}"
+        )
+    if not is_crosscut(lat, cut):
         raise ValueError("crosscut_complex needs a valid cross-cut")
     order = sorted(cut)
     return SimplicialComplex.from_masks(

@@ -1,4 +1,5 @@
-"""Elementary number-theoretic primitives: sieve, divisor counts, totients, squarefreeness."""
+"""Elementary number-theoretic primitives: sieve, factorization, and the divisor
+counts, totients and squarefreeness read off it."""
 
 from __future__ import annotations
 
@@ -32,50 +33,35 @@ def sieve(limit: int) -> PrimeSieve:
     return PrimeSieve(limit)
 
 
+def factorize(i: int) -> dict[int, int]:
+    """{p: e} with i = prod p**e over the primes p dividing i, by trial division."""
+    if i < 1:
+        raise ValueError(f"factorize needs a positive integer, got {i}")
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= i:
+        while i % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            i //= p
+        p += 1
+    if i > 1:
+        factors[i] = 1
+    return factors
+
+
 def divisor_count(i: int) -> int:
     """d(i): number of divisors of i."""
-    if i < 1:
-        raise ValueError("divisor_count needs a positive integer")
-    count = 0
-    d = 1
-    while d * d <= i:
-        if i % d == 0:
-            count += 1 if d * d == i else 2
-        d += 1
-    return count
+    return math.prod(e + 1 for e in factorize(i).values())
 
 
 def totient(i: int) -> int:
     """phi(i): count of 1 <= j <= i with gcd(i,j) = 1."""
-    if i < 1:
-        raise ValueError("totient needs a positive integer")
-    result = i
-    m = i
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(i).items())
 
 
 def is_squarefree(i: int) -> bool:
     """True iff no prime square divides i."""
-    if i < 1:
-        raise ValueError("is_squarefree needs a positive integer")
-    m = i
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return False
-        p += 1
-    return True
+    return all(e == 1 for e in factorize(i).values())
 
 
 def chebyshev_primes(n: int) -> list[int]:

@@ -317,9 +317,21 @@ def test_main_writes_out_file(tmp_path, capsys):
     assert body.endswith("\n") and body.startswith("n,k,count\n")
 
 
+def test_main_unwritable_out_exits_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["table", "--family", "primitive", "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_main_usage_errors_exit_two(capsys):
     assert main(["table", "--family", "nosuch", "--n", "5"]) == 2
-    assert main(["table", "--family", "primitive", "--n", "0"]) == 2
+    # the library checks n; the commands do not repeat it
+    for command in ("table", "homology", "maximal"):
+        assert main([command, "--family", "primitive", "--n", "0"]) == 2
+        assert "error: need n >= 1, got 0" in capsys.readouterr().err
+    assert main(["homology", "--family", "coprimefree", "--n", "0"]) == 2
+    assert "error: need n >= 1, got 0" in capsys.readouterr().err
     assert main(["scan-h2", "--n-to", "500"]) == 2
     assert main([]) == 2
     capsys.readouterr()

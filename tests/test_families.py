@@ -57,6 +57,10 @@ def test_family_kind_validation():
         FamilyKind("smultiple", 0)
     with pytest.raises(ValueError):
         FamilyKind("primitive", 2)
+    # s is an int >= 1, as face labels are: no float, bool or string passes
+    for s in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="--s"):
+            FamilyKind("smultiple", s)
     assert s_multiple(3).label() == "smultiple(s=3)"
     assert kind_from_name("coprime") == PAIRWISE_COPRIME
     assert kind_from_name("smultiple", 2) == s_multiple(2)
@@ -257,6 +261,12 @@ def test_stateless_rules_only_forbid(kind):
         walked = []
         families._walk(kind, n, lambda *v: walked.append(v))
         assert walked == _walk_calling_every_candidate(kind, n), n
+
+
+def test_root_is_least_m_with_x_dividing_m_squared():
+    # nodivisorofpairproduct's rule forbids the multiples of _root(x)
+    for x in range(1, 501):
+        assert families._root(x) == min(m for m in range(1, x + 1) if m * m % x == 0), x
 
 
 def _free_prime_additions(kind, n, avoid=0):

@@ -154,8 +154,10 @@ def test_is_crosscut():
     assert not is_crosscut(lat, [mask_of([3]), s23])
     with pytest.raises(ValueError):
         is_crosscut(lat, [mask_of([2, 4])])
-    with pytest.raises(EnumerationGuardError):
-        is_crosscut(FamilyLattice(PRIMITIVE, 9), [])
+    # the chain search visits each element once, so it needs no guard of its own
+    assert is_crosscut(FamilyLattice(PRIMITIVE, 9), []) is False
+    lat = FamilyLattice(PRIMITIVE, 12)
+    assert is_crosscut(lat, lat.coatoms())
 
 
 def test_coatoms_are_a_crosscut_everywhere():
@@ -187,6 +189,15 @@ def test_crosscut_complex_example():
     assert c.facets == (1 << 0, 1 << 1 | 1 << 2)
     with pytest.raises(ValueError):
         crosscut_complex(lat, [mask_of([2, 3])])
+
+
+def test_crosscut_complex_guards_the_cut_size():
+    # 36 coatoms would mean 2^36 subset tests; the guard stops it before any
+    lat = FamilyLattice(s_multiple(4), 8)
+    coatoms = lat.coatoms()
+    assert len(coatoms) == 36
+    with pytest.raises(EnumerationGuardError, match="cut of 36 elements"):
+        crosscut_complex(lat, coatoms)
 
 
 def test_crosscut_complex_equals_nerve_of_coatoms():

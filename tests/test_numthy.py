@@ -1,3 +1,4 @@
+import math
 from math import gcd
 
 import pytest
@@ -25,6 +26,14 @@ def test_prime_sieve_table():
     marks = [i for i in range(51) if ps.is_prime[i]]
     assert marks == oracles.primes_upto(50)
     assert ps.primes() == oracles.primes_upto(50)
+
+
+def test_factorize_exhaustive():
+    for i in range(1, 2001):
+        factors = numthy.factorize(i)
+        assert math.prod(p**e for p, e in factors.items()) == i
+        assert set(factors) <= set(oracles.primes_upto(i)), i
+        assert all(e >= 1 for e in factors.values())
 
 
 def test_divisor_count_exhaustive():
@@ -63,7 +72,7 @@ def test_chebyshev_count_brute():
 
 
 def test_domain_errors():
-    for fn in (numthy.divisor_count, numthy.totient, numthy.is_squarefree):
+    for fn in (numthy.factorize, numthy.divisor_count, numthy.totient, numthy.is_squarefree):
         with pytest.raises(ValueError):
             fn(0)
     with pytest.raises(ValueError):
