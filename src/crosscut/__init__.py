@@ -41,7 +41,7 @@ from .homology import (
     reduced_homology,
     smith_normal_form,
 )
-from .lattice import TOP, FamilyLattice, crosscut_complex, is_crosscut, is_spanning, mobius
+from .lattice import TOP, FamilyLattice, crosscut_complex, is_crosscut, mobius
 from .numthy import (
     PrimeSieve,
     chebyshev_count,

@@ -408,6 +408,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.guard_override is not None and args.guard_override < 1:
+            parser.error(f"--guard-override needs N >= 1, got {args.guard_override}")
     except SystemExit as exc:
         return int(exc.code or 0)
     guard = ENUMERATION_GUARD

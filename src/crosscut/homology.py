@@ -160,13 +160,15 @@ def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:
 
 
 def smith_normal_form(m) -> tuple[tuple[int, ...], int]:
-    """Invariant factors (units included, d1 | d2 | ...) and rank of an integer
-    matrix given as rows; the input is not mutated."""
+    """Invariant factors (units included, d1 | d2 | ...) and rank of a matrix of
+    int entries (no bools) given as rows; the input is not mutated."""
     cols: dict[int, dict[int, int]] = {}
     for i, row in enumerate(m):
         for j, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"entry ({i}, {j}) = {v!r} is not an int")
             if v:
-                cols.setdefault(j, {})[i] = int(v)
+                cols.setdefault(j, {})[i] = v
     factors = _divisibility_chain(_pivot_values(cols))
     return factors, len(factors)
 

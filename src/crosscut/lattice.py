@@ -1,4 +1,4 @@
-"""Family lattices: Mobius function, cross-cuts, spanning subsets.
+"""Family lattices: Mobius function, cross-cuts and the cross-cut complex.
 
 The lattice on a downward-closed family is graded by cardinality (covers add one
 element), meet is intersection, and the join of a subset is the least member
@@ -8,14 +8,12 @@ masks, bit x for element x, as in families.
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
-from operator import and_, or_
 
 from . import families
 from .cliques import bits
-from .complexes import SimplicialComplex
-from .families import ENUMERATION_GUARD, EnumerationGuardError, FamilyKind
+from .complexes import SimplicialComplex, nerve
+from .families import ENUMERATION_GUARD, FamilyKind
 
 
 class _Top:
@@ -85,55 +83,34 @@ def mobius(lat: FamilyLattice, x, y) -> int:
 
 
 def is_crosscut(lat: FamilyLattice, cut) -> bool:
-    """True iff cut avoids bottom and top, is an antichain, and meets every maximal
-    chain; the chain search visits each lattice element at most once."""
+    """True iff cut avoids bottom and top, is an antichain (an element repeated is
+    comparable with itself), and meets every maximal chain; the chain search visits
+    each lattice element at most once."""
     cut = list(cut)
     if any(x is TOP for x in cut):
         return False
     _require_elements(lat, cut)
-    cut_masks = set(cut)
-    if 0 in cut_masks or any(a & ~b == 0 for a, b in combinations(sorted(cut_masks), 2)):
+    if 0 in cut or any(a & ~b == 0 for a, b in combinations(sorted(cut), 2)):
         return False
-    # search for a maximal chain avoiding the cut: bottom -> +1 element covers -> coatom
+    # walk the ranks from the bottom through members outside the cut: a maximal
+    # chain avoids the cut exactly when this reaches a coatom
+    allowed = lat._masks.difference(cut)
     coatom_masks = set(lat.coatoms())
-    seen = {0}
-    stack = [0]
-    while stack:
-        m = stack.pop()
-        if m in coatom_masks:
+    level = {0}
+    while level:
+        if not coatom_masks.isdisjoint(level):
             return False
-        for i in bits(~m & ((2 << lat.n) - 2)):
-            nxt = m | 1 << i
-            if nxt in seen or nxt in cut_masks or nxt not in lat._masks:
-                continue
-            seen.add(nxt)
-            stack.append(nxt)
+        level = {m | 1 << i for m in level for i in bits(~m & ((2 << lat.n) - 2))} & allowed
     return True
 
 
-def is_spanning(lat: FamilyLattice, subset) -> bool:
-    """True iff the subset's meet is the bottom and its join is the top; the
-    family is downward closed, so the join is the top exactly when the union
-    is not a member."""
-    elems = list(subset)
-    if any(x is TOP for x in elems):
-        raise ValueError("spanning test expects elements below the top")
-    _require_elements(lat, elems)
-    return bool(elems) and reduce(and_, elems) == 0 and reduce(or_, elems) not in lat._masks
-
-
-def crosscut_complex(lat: FamilyLattice, cut, guard: int = ENUMERATION_GUARD) -> SimplicialComplex:
-    """The literal cross-cut complex: one vertex per element of the cut (indexed in
-    mask order), and a face for every subset that does not span. It tests all
-    2^|cut| subsets, so a cut larger than the guard raises EnumerationGuardError."""
-    cut = list(cut)
-    if len(cut) > guard:
-        raise EnumerationGuardError(
-            f"a cut of {len(cut)} elements has 2^{len(cut)} subsets, past the guard 2^{guard}"
-        )
-    if not is_crosscut(lat, cut):
+def crosscut_complex(lat: FamilyLattice, cut) -> SimplicialComplex:
+    """One vertex per element of the cut (indexed in mask order), and a face for
+    every subset that does not span. The family is downward closed, so such a
+    subset shares an element (a nerve face of the cut) or has a member as its
+    union (it lies below some coatom): n + #coatoms generating faces."""
+    if not is_crosscut(lat, cut := list(cut)):
         raise ValueError("crosscut_complex needs a valid cross-cut")
     order = sorted(cut)
-    return SimplicialComplex.from_masks(
-        f for f in range(1, 1 << len(order)) if not is_spanning(lat, [order[i] for i in bits(f)])
-    )
+    below = (sum(1 << i for i, c in enumerate(order) if c & ~m == 0) for m in lat.coatoms())
+    return SimplicialComplex.from_masks([*nerve(map(bits, order)).facets, *below])

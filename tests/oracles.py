@@ -134,6 +134,25 @@ def maximal_cliques_by_subsets(vertices, edges) -> list[int]:
     )
 
 
+def crosscut_complex_by_subsets(name: str, n: int, cut, s: int | None = None) -> set[int]:
+    """The literal cross-cut complex of a cut given as package masks (bit x for
+    element x): every nonempty subset of the cut, as a mask over the cut's indices
+    in ascending mask order, whose members share an element or whose union is a
+    member; the complex is downward closed, so these are all of its faces."""
+    members = {m << 1 for m in member_masks(name, n, s)}
+    order = sorted(cut)
+    faces = set()
+    for f in range(1, 1 << len(order)):
+        chosen = [order[i] for i in range(len(order)) if f >> i & 1]
+        meet, union = chosen[0], 0
+        for c in chosen:
+            meet &= c
+            union |= c
+        if meet or union in members:
+            faces.add(f)
+    return faces
+
+
 # --- exact linear algebra oracles --------------------------------------------
 
 

@@ -359,6 +359,17 @@ def test_main_guard_error_and_override(capsys):
     assert captured.out.startswith("n,k,count\n")
 
 
+def test_main_guard_override_below_one_exits_two(capsys):
+    # a guard of 2^0 checks no row at all, so it must not print a passing verdict
+    for value in ("0", "-1"):
+        args = ["oeis-compare", "--family", "primitive", "--bfile", str(DATA / "b051026.txt")]
+        assert main([*args, "--guard-override", value]) == 2
+        captured = capsys.readouterr()
+        assert f"error: --guard-override needs N >= 1, got {value}" in captured.err
+        assert "raised to" not in captured.err
+        assert captured.out == ""
+
+
 def test_main_bad_bfile_exits_two(tmp_path, capsys):
     path = tmp_path / "b000001.txt"
     path.write_text("1 2\n2 3 4\n")

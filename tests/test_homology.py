@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from crosscut.complexes import (
     coprime_free_collapsed,
     face_complex,
     faces_by_dimension,
+    facet_nerve,
+    strong_collapse,
 )
 from crosscut.families import COPRIME_FREE, s_multiple
 from crosscut.homology import (
@@ -99,6 +103,15 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([[2, 4], [4, 2]]) == ((2, 6), 2)
     assert smith_normal_form([[6]]) == ((6,), 1)
     assert smith_normal_form([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == ((1, 1, 6), 3)
+    # entries are never converted: a float, a string or a bool is rejected by position
+    for m, where in (
+        ([[0.5]], "(0, 0) = 0.5"),
+        ([[2, 0], [0, 2.5]], "(1, 1) = 2.5"),
+        ([["3"]], "(0, 0) = '3'"),
+        ([[1, 0], [True, 1]], "(1, 0) = True"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"entry {where} is not an int")):
+            smith_normal_form(m)
 
 
 def test_smith_normal_form_does_not_mutate():
@@ -292,3 +305,5 @@ def test_random_complexes_with_torsion(faces, labels):
         assert g.rank == len(maps[k].cols) - ranks[k] - ranks[k + 1], k
     assert euler_check(c, d)
     assert reduced_homology(relabel(c, labels), d) == groups
+    assert reduced_homology(strong_collapse(c), d) == groups
+    assert reduced_homology(strong_collapse(facet_nerve(c)), d) == groups

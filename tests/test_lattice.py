@@ -1,15 +1,16 @@
+import random
+
 import pytest
 
 from crosscut import homology
 from crosscut.cliques import bits
-from crosscut.complexes import nerve
+from crosscut.complexes import facet_nerve, nerve, strong_collapse
 from crosscut.families import (
     COPRIME_FREE,
     DIVISIBILITY_CHAIN,
     PAIRWISE_COPRIME,
     PRIMITIVE,
     PRODUCT_FREE,
-    EnumerationGuardError,
     Partition,
     count_triangle,
     maximal_members,
@@ -22,11 +23,11 @@ from crosscut.lattice import (
     _Top,
     crosscut_complex,
     is_crosscut,
-    is_spanning,
     mobius,
 )
 
 import oracles
+from test_acceptance import ALL_KINDS
 
 SMALL_KINDS = [
     PRIMITIVE,
@@ -152,6 +153,11 @@ def test_is_crosscut():
     assert not is_crosscut(lat, [TOP] + coatoms)
     # not an antichain: {3} < {2,3}
     assert not is_crosscut(lat, [mask_of([3]), s23])
+    # nor is a cut that repeats an element, which is comparable with itself
+    repeated = [mask_of([1]), s23, mask_of([3, 4]), mask_of([1])]
+    assert not is_crosscut(lat, repeated)
+    with pytest.raises(ValueError, match="valid cross-cut"):
+        crosscut_complex(lat, repeated)
     with pytest.raises(ValueError):
         is_crosscut(lat, [mask_of([2, 4])])
     # the chain search visits each element once, so it needs no guard of its own
@@ -169,20 +175,6 @@ def test_coatoms_are_a_crosscut_everywhere():
             assert is_crosscut(lat, lat.coatoms()), (kind.label(), n)
 
 
-def test_is_spanning():
-    lat = FamilyLattice(PRIMITIVE, 4)
-    one = mask_of([1])
-    s23 = mask_of([2, 3])
-    s34 = mask_of([3, 4])
-    assert not is_spanning(lat, [])
-    assert not is_spanning(lat, [s23])
-    assert not is_spanning(lat, [s23, s34])  # common element 3
-    assert is_spanning(lat, [one, s23])
-    assert is_spanning(lat, [one, s23, s34])
-    with pytest.raises(ValueError):
-        is_spanning(lat, [TOP])
-
-
 def test_crosscut_complex_example():
     lat = FamilyLattice(PRIMITIVE, 4)
     c = crosscut_complex(lat, lat.coatoms())
@@ -191,13 +183,58 @@ def test_crosscut_complex_example():
         crosscut_complex(lat, [mask_of([2, 3])])
 
 
-def test_crosscut_complex_guards_the_cut_size():
-    # 36 coatoms would mean 2^36 subset tests; the guard stops it before any
-    lat = FamilyLattice(s_multiple(4), 8)
-    coatoms = lat.coatoms()
-    assert len(coatoms) == 36
-    with pytest.raises(EnumerationGuardError, match="cut of 36 elements"):
-        crosscut_complex(lat, coatoms)
+def test_crosscut_complex_builds_large_coatom_cuts():
+    # 36 and 70 coatoms: far too many for the 2^|cut| subsets, but the complex is
+    # generated by n + #coatoms faces and its facet nerve has only n vertices
+    cases = ((s_multiple(4), 8, 36, 3, 20), (s_multiple(3), 12, 70, 2, 45))
+    for kind, n, coatom_count, d, rank in cases:
+        lat = FamilyLattice(kind, n)
+        coatoms = lat.coatoms()
+        assert len(coatoms) == coatom_count
+        model = strong_collapse(facet_nerve(crosscut_complex(lat, coatoms)))
+        assert len(model.vertices) <= n
+        groups = homology.reduced_homology(model, max(model.dim, 0))
+        assert [g.rank for g in groups] == [rank if k == d else 0 for k in range(len(groups))]
+        assert all(not g.torsion for g in groups)
+        # the paper's (-1)^(s-1) C(n-2, s-1), and Rota's theorem
+        mu = mobius(lat, lat.bottom, TOP)
+        assert mu == (-1) ** d * rank == sum((-1) ** k * g.rank for k, g in enumerate(groups))
+
+
+def _crosscut_candidates(lat, seed):
+    """The coatoms, every rank level, and 20 random maximal antichains of the
+    members above the bottom; callers keep those that are cross-cuts."""
+    above = lat.members[1:]
+    yield lat.coatoms()
+    for k in range(1, lat.n + 1):
+        yield [m for m in above if m.bit_count() == k]
+    rng = random.Random(seed)
+    for _ in range(20):
+        chosen = []
+        for m in rng.sample(above, len(above)):
+            if all(m & ~c and c & ~m for c in chosen):
+                chosen.append(m)
+        yield sorted(chosen)
+
+
+def test_crosscut_complex_matches_literal_definition():
+    checked = 0
+    for kind in ALL_KINDS:
+        for n in range(1, 8):
+            lat = FamilyLattice(kind, n)
+            for cut in _crosscut_candidates(lat, f"{kind.label()} {n}"):
+                if not 0 < len(cut) <= 12 or not is_crosscut(lat, cut):
+                    continue
+                faces = set()
+                for f in crosscut_complex(lat, cut).facets:
+                    g = f
+                    while g:
+                        faces.add(g)
+                        g = (g - 1) & f
+                literal = oracles.crosscut_complex_by_subsets(kind.name, n, cut, kind.s)
+                assert faces == literal, (kind.label(), n, cut)
+                checked += 1
+    assert checked > 500
 
 
 def test_crosscut_complex_equals_nerve_of_coatoms():
