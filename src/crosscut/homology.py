@@ -62,9 +62,19 @@ def boundary_matrix(c: SimplicialComplex, d: int) -> BoundaryMatrix:
     return BoundaryMatrix(d, tuple(rows), tuple(cols), _boundary(rows, cols))
 
 
+_PRUNE_FACTOR, _PRUNE_SLACK = 4, 1 << 18  # the unit stack's bound, see _pivot_values
+_NONE: dict[int, int] = {}
+
+
 def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
     """Diagonalize {col: {row: value}} in place by integer row and column
-    operations; returns the diagonal (not yet a divisibility chain)."""
+    operations; returns the diagonal (not yet a divisibility chain).
+
+    Unit pivots pop off a LIFO of (col, row) pushes, one per write of +-1. A
+    push whose entry is not +-1 now can only pop as a no-op (a new write of +-1
+    there pushes above it), so once the stack outgrows _PRUNE_FACTOR times the
+    pushes that survived its last pruning plus _PRUNE_SLACK, it keeps only the
+    pushes still at +-1; every pivot, and so the fill-in, stays as it was."""
     rows: dict[int, set[int]] = {}
     for j, col in cols.items():
         for i in col:
@@ -90,12 +100,16 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
         if not target:
             del cols[dst]
 
+    limit = _PRUNE_FACTOR * len(units) + _PRUNE_SLACK
     pivots: list[int] = []
     while True:
+        if len(units) > limit:
+            units[:] = [u for u in units if cols.get(u[0], _NONE).get(u[1]) in (1, -1)]
+            limit = _PRUNE_FACTOR * len(units) + _PRUNE_SLACK
         pj = pi = None
         while units:
             j, i = units.pop()
-            if cols.get(j, {}).get(i) in (1, -1):
+            if cols.get(j, _NONE).get(i) in (1, -1):
                 pj, pi = j, i
                 break
         if pj is None:

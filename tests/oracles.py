@@ -3,7 +3,9 @@
 Nothing here reuses the package's incremental machinery: membership predicates
 check the defining condition directly on a tuple of elements, counting walks
 all 2^n masks, ranks come from Fraction Gaussian elimination, and invariant
-factors from gcds of k x k minors.
+factors from gcds of k x k minors. The one exception is pivot_values_lifo, the
+Smith elimination with an unpruned unit stack, against which the package's
+pivot order is checked.
 """
 
 from __future__ import annotations
@@ -205,6 +207,92 @@ def snf_by_minors(rows) -> tuple[tuple[int, ...], int]:
         divisors.append(g)
     factors = tuple(divisors[k] // divisors[k - 1] for k in range(1, rank + 1))
     return factors, rank
+
+
+def pivot_values_lifo(cols: dict[int, dict[int, int]]) -> list[int]:
+    """The package's Smith elimination as it stood before its unit stack was
+    pruned, kept verbatim: diagonalize {col: {row: value}} in place by integer
+    row and column operations and return the diagonal in pivot order. Its unit
+    LIFO keeps every push, stale ones included, so the tests can check that
+    pruning the stack leaves each pivot, and the order they come in, unchanged."""
+    rows: dict[int, set[int]] = {}
+    for j, col in cols.items():
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+    units: list[tuple[int, int]] = [
+        (j, i) for j, col in cols.items() for i, v in col.items() if v in (1, -1)
+    ]
+
+    def col_axpy(dst: int, src: int, q: int) -> None:
+        # column dst -= q * column src
+        target = cols.setdefault(dst, {})
+        for i, v in cols[src].items():
+            new = target.get(i, 0) - q * v
+            if new:
+                if i not in target:
+                    rows[i].add(dst)
+                target[i] = new
+                if new in (1, -1):
+                    units.append((dst, i))
+            elif i in target:
+                del target[i]
+                rows[i].discard(dst)
+        if not target:
+            del cols[dst]
+
+    pivots: list[int] = []
+    while True:
+        pj = pi = None
+        while units:
+            j, i = units.pop()
+            if cols.get(j, {}).get(i) in (1, -1):
+                pj, pi = j, i
+                break
+        if pj is None:
+            best = None
+            for j, col in cols.items():
+                for i, v in col.items():
+                    if best is None or abs(v) < best[2]:
+                        best = (j, i, abs(v))
+            if best is None:
+                return pivots
+            pj, pi = best[0], best[1]
+        while True:
+            v = cols[pj][pi]
+            for j in sorted(rows[pi]):
+                if j == pj:
+                    continue
+                q = cols[j][pi] // v
+                if q:
+                    col_axpy(j, pj, q)
+            leftover = [j for j in rows[pi] if j != pj]
+            if leftover:
+                # a remainder smaller than |v| survives; pivot on it instead
+                pj = min(leftover, key=lambda j: abs(cols[j][pi]))
+                continue
+            col = cols[pj]
+            for i in list(col):
+                if i == pi:
+                    continue
+                q = col[i] // v
+                if q:
+                    # row i -= q * row pi, and row pi lives only in column pj
+                    new = col[i] - q * v
+                    if new:
+                        col[i] = new
+                        if new in (1, -1):
+                            units.append((pj, i))
+                    else:
+                        del col[i]
+                        rows[i].discard(pj)
+            leftover_rows = [i for i in col if i != pi]
+            if leftover_rows:
+                pi = min(leftover_rows, key=lambda i: abs(col[i]))
+                continue
+            break
+        pivots.append(cols[pj][pi])
+        del cols[pj]
+        del rows[pi]
 
 
 # --- frozen expected counts ---------------------------------------------------

@@ -1,9 +1,11 @@
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosscut import homology
 from crosscut.cliques import bits
 from crosscut.complexes import (
     SimplicialComplex,
@@ -307,3 +309,67 @@ def test_random_complexes_with_torsion(faces, labels):
     assert reduced_homology(relabel(c, labels), d) == groups
     assert reduced_homology(strong_collapse(c), d) == groups
     assert reduced_homology(strong_collapse(facet_nerve(c)), d) == groups
+
+
+# --- the pruned unit stack keeps every pivot, in order ---------------------------
+
+# prune_every_pivot sets the stack's limit to 0, so _pivot_values prunes it before
+# each pivot; inputs this small never reach the real limit
+PRUNING = pytest.mark.parametrize(
+    "prune_every_pivot", [False, True], ids=["real-limit", "prune-every-pivot"]
+)
+
+
+def assert_pivot_order(cols, prune_every_pivot=False):
+    expected = oracles.pivot_values_lifo({j: dict(col) for j, col in cols.items()})
+    with pytest.MonkeyPatch.context() as mp:
+        if prune_every_pivot:
+            mp.setattr(homology, "_PRUNE_FACTOR", 0)
+            mp.setattr(homology, "_PRUNE_SLACK", 0)
+        assert homology._pivot_values(cols) == expected
+
+
+@PRUNING
+@settings(deadline=None, max_examples=40)
+@given(RANDOM_FACES, rp2_with_random_complex())
+def test_pivot_order_on_boundaries(prune_every_pivot, faces, with_rp2):
+    # with_rp2's d_2 has a non-unit pivot, as its H~1 = Z/2 needs
+    for c in (SimplicialComplex(faces), SimplicialComplex(with_rp2)):
+        for d in range(c.dim + 2):
+            assert_pivot_order(boundary_matrix(c, d).columns, prune_every_pivot)
+
+
+@PRUNING
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.data(),
+)
+def test_pivot_order_on_integer_matrices(prune_every_pivot, nrows, ncols, data):
+    cols: dict[int, dict[int, int]] = {}
+    for i in range(nrows):
+        for j in range(ncols):
+            v = data.draw(st.integers(min_value=-4, max_value=4))
+            if v:
+                cols.setdefault(j, {})[i] = v
+    assert_pivot_order(cols, prune_every_pivot)
+
+
+@PRUNING
+def test_pivot_order_on_coprime_free_d3(prune_every_pivot):
+    assert_pivot_order(boundary_matrix(coprime_free_collapsed(90), 3).columns, prune_every_pivot)
+
+
+def test_pivot_values_memory_on_coprime_free_d3():
+    # the elimination's own peak on Python 3.10-3.13: 44.2 MB with the unpruned
+    # stack (oracles.pivot_values_lifo), 27.9 MB with the pruned one
+    cols = boundary_matrix(coprime_free_collapsed(120), 3).columns
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        homology._pivot_values(cols)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 36e6, f"{peak / 1e6:.1f} MB"
