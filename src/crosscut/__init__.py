@@ -31,7 +31,6 @@ from .families import (
     members,
     partition_components,
     s_multiple,
-    small_count_closed_form,
 )
 from .homology import (
     BoundaryMatrix,
@@ -42,14 +41,6 @@ from .homology import (
     smith_normal_form,
 )
 from .lattice import TOP, FamilyLattice, crosscut_complex, is_crosscut, mobius
-from .numthy import (
-    PrimeSieve,
-    chebyshev_count,
-    divisor_count,
-    factorize,
-    is_squarefree,
-    sieve,
-    totient,
-)
+from .numthy import factorize, is_squarefree
 
 __version__ = "0.1.0"

@@ -6,12 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from operator import and_, or_
 
 from . import families
 from .cliques import bits, maximal_cliques
-from .families import ENUMERATION_GUARD, FamilyKind
+from .families import ENUMERATION_GUARD, EnumerationGuardError, FamilyKind
 from .numthy import is_squarefree
 
 
@@ -68,21 +68,21 @@ class SimplicialComplex:
         return f"SimplicialComplex([{inner}])"
 
 
-def nerve(sets) -> SimplicialComplex:
-    """Nerve of a finite list of nonempty distinct sets: vertex i is sets[i], and a
-    face is any index set whose members share a common element.
+def nerve(masks) -> SimplicialComplex:
+    """Nerve of distinct positive int masks (else ValueError; no bools): vertex i
+    is masks[i], and a face is any index set whose members share an element.
 
     Built from witness faces: each element e of the union contributes the face
-    {i : e in sets[i]}, and every nerve face lies inside one of these.
+    {i : e in masks[i]}, and every nerve face lies inside one of these.
     """
-    collection = [frozenset(s) for s in sets]
-    if any(not s for s in collection):
-        raise ValueError("nerve is undefined for an empty set in the collection")
-    if len(set(collection)) != len(collection):
-        raise ValueError("nerve expects pairwise distinct sets")
-    witness: dict[object, int] = {}
-    for i, s in enumerate(collection):
-        for e in s:
+    masks = list(masks)
+    if bad := [m for m in masks if isinstance(m, bool) or not isinstance(m, int) or m <= 0]:
+        raise ValueError(f"nerve needs positive int masks, got {bad[0]!r}")
+    if len(set(masks)) != len(masks):
+        raise ValueError("nerve expects pairwise distinct masks")
+    witness: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        for e in bits(m):
             witness[e] = witness.get(e, 0) | 1 << i
     return SimplicialComplex.from_masks(witness.values())
 
@@ -119,7 +119,7 @@ def facet_nerve(c: SimplicialComplex) -> SimplicialComplex:
     the nerve carries the homotopy type; it is the model of choice when the
     facets are few but too large to expand face by face.
     """
-    return nerve(bits(f) for f in c.facets)
+    return nerve(c.facets)
 
 
 def coprime_free_collapsed(n: int) -> SimplicialComplex:
@@ -143,11 +143,22 @@ def coprime_free_collapsed(n: int) -> SimplicialComplex:
 
 
 def faces_by_dimension(c: SimplicialComplex, d_max: int) -> list[list[int]]:
-    """Faces of each dimension 0..d_max as ascending vertex masks."""
+    """Faces of each dimension 0..d_max as ascending vertex masks. A dimension with
+    over 2^ENUMERATION_GUARD faces raises EnumerationGuardError: before any face is
+    listed when one facet alone has that many, else once the running union has."""
     if d_max < 0:
         raise ValueError(f"need d_max >= 0, got {d_max}")
+    limit = 1 << ENUMERATION_GUARD
+    for d in range(d_max + 1):
+        if comb(c.dim + 1, d + 1) > limit:
+            raise EnumerationGuardError(f"dimension {d} has over 2^{ENUMERATION_GUARD} faces")
     vertex_bits = [[1 << v for v in bits(f)] for f in c.facets]
-    return [
-        sorted(set().union(*(map(sum, combinations(vs, d + 1)) for vs in vertex_bits)))
-        for d in range(d_max + 1)
-    ]
+    levels = []
+    for d in range(d_max + 1):
+        level: set[int] = set()
+        for vs in vertex_bits:
+            level.update(map(sum, combinations(vs, d + 1)))
+            if len(level) > limit:
+                raise EnumerationGuardError(f"dimension {d} has over 2^{ENUMERATION_GUARD} faces")
+        levels.append(sorted(level))
+    return levels

@@ -348,28 +348,6 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
     return CountTriangle(kind, n_max, tuple(rows))
 
 
-def small_count_closed_form(kind: FamilyKind, n: int, k: int) -> int:
-    """Closed forms for the k=1 and k=2 counts of the three headline families."""
-    if n < 2:
-        raise ValueError("closed forms need n >= 2")
-    if kind == PRIMITIVE:
-        if k == 1:
-            return n
-        if k == 2:
-            return sum(i - numthy.divisor_count(i) for i in range(2, n + 1))
-    elif kind == PAIRWISE_COPRIME:
-        if k == 1:
-            return n
-        if k == 2:
-            return sum(numthy.totient(i) for i in range(2, n + 1))
-    elif kind == PRODUCT_FREE:
-        if k == 1:
-            return n - 1
-        if k == 2:
-            return math.comb(n, 2) - n - math.isqrt(n) + 2
-    raise ValueError(f"no closed form for ({kind.label()}, k={k})")
-
-
 def _maximal_masks(masks: list[int], n: int) -> list[int]:
     """The masks with no one-element extension among them, in their given order.
 

@@ -26,13 +26,6 @@ class BoundaryMatrix:
     cols: tuple[int, ...]
     columns: dict[int, dict[int, int]] = field(repr=False)
 
-    def to_dense(self) -> list[list[int]]:
-        m = [[0] * len(self.cols) for _ in self.rows]
-        for j, col in self.columns.items():
-            for i, v in col.items():
-                m[i][j] = v
-        return m
-
 
 @dataclass(frozen=True)
 class HomologyGroup:
@@ -175,9 +168,11 @@ def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:
 
 def smith_normal_form(m) -> tuple[tuple[int, ...], int]:
     """Invariant factors (units included, d1 | d2 | ...) and rank of a matrix of
-    int entries (no bools) given as rows; the input is not mutated."""
+    int entries (no bools) given as rows of one length; the input is not mutated."""
     cols: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(m):
+    for i, row in enumerate(m := list(m)):
+        if len(row) != len(m[0]):
+            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {len(m[0])}")
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"entry ({i}, {j}) = {v!r} is not an int")

@@ -2,8 +2,8 @@
 
 Nothing here reuses the package's incremental machinery: membership predicates
 check the defining condition directly on a tuple of elements, counting walks
-all 2^n masks, ranks come from Fraction Gaussian elimination, and invariant
-factors from gcds of k x k minors. The one exception is pivot_values_lifo, the
+all 2^n masks, divisor counts and totients count by trial, ranks come from
+Fraction Gaussian elimination, and invariant factors from gcds of k x k minors. The one exception is pivot_values_lifo, the
 Smith elimination with an unpruned unit stack, against which the package's
 pivot order is checked.
 """
@@ -12,13 +12,35 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 
 def primes_upto(limit: int) -> list[int]:
     return [
         p for p in range(2, limit + 1) if all(p % d for d in range(2, isqrt(p) + 1))
     ]
+
+
+def divisor_count(i: int) -> int:
+    return sum(1 for d in range(1, i + 1) if i % d == 0)
+
+
+def totient(i: int) -> int:
+    return sum(1 for j in range(1, i + 1) if gcd(i, j) == 1)
+
+
+def small_count_closed_form(name: str, n: int, k: int) -> int:
+    """Closed forms for the k = 1 and k = 2 counts of the three headline families
+    within 2^[n], n >= 2: of the pairs {j, i} with j < i, i - d(i) have j not
+    dividing i and phi(i) have gcd(j, i) = 1; a product-free set avoids 1, and
+    its pairs avoid 1 and the {j, j * j} with j * j <= n."""
+    if name == "primitive":
+        return n if k == 1 else sum(i - divisor_count(i) for i in range(2, n + 1))
+    if name == "coprime":
+        return n if k == 1 else sum(totient(i) for i in range(2, n + 1))
+    if name == "productfree":
+        return n - 1 if k == 1 else comb(n, 2) - n - isqrt(n) + 2
+    raise ValueError(f"no closed form for {name}")
 
 
 # --- membership predicates --------------------------------------------------
@@ -156,6 +178,15 @@ def crosscut_complex_by_subsets(name: str, n: int, cut, s: int | None = None) ->
 
 
 # --- exact linear algebra oracles --------------------------------------------
+
+
+def to_dense(bm) -> list[list[int]]:
+    """A BoundaryMatrix's columns as a len(rows) x len(cols) list of rows."""
+    m = [[0] * len(bm.cols) for _ in bm.rows]
+    for j, col in bm.columns.items():
+        for i, v in col.items():
+            m[i][j] = v
+    return m
 
 
 def rank_over_q(rows) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosscut import families
+from crosscut import complexes, families
 from crosscut.cliques import bits, maximal_cliques
 from crosscut.complexes import (
     SimplicialComplex,
@@ -109,12 +109,12 @@ def test_facets_form_an_antichain(faces):
 
 def test_nerve_examples():
     # two sets meeting in a point, one disjoint set
-    c = nerve([{1, 2}, {2, 3}, {4}])
+    c = nerve([mask(1, 2), mask(2, 3), mask(4)])
     assert c.facets == (mask(0, 1), mask(2))
-    with pytest.raises(ValueError):
-        nerve([{1}, set()])
-    with pytest.raises(ValueError):
-        nerve([{1}, {1}])
+    assert nerve([]) == SimplicialComplex([])
+    for bad in ([mask(1), 0], [mask(1), -1], [True], [mask(1), mask(1)]):
+        with pytest.raises(ValueError):
+            nerve(bad)
 
 
 @settings(deadline=None, max_examples=80)
@@ -127,10 +127,11 @@ def test_nerve_examples():
     )
 )
 def test_nerve_faces_are_exactly_common_element_index_sets(sets):
-    c = nerve(sets)
-    assert c.vertices == tuple(range(len(sets)))
-    for r in range(1, len(sets) + 1):
-        for idx in combinations(range(len(sets)), r):
+    masks = [mask(*s) for s in sets]
+    c = nerve(masks)
+    assert c.vertices == tuple(range(len(masks)))
+    for r in range(1, len(masks) + 1):
+        for idx in combinations(range(len(masks)), r):
             want = bool(frozenset.intersection(*[sets[i] for i in idx]))
             assert has_face(c, idx) == want
 
@@ -276,6 +277,21 @@ def test_faces_by_dimension():
         faces_by_dimension(OCTAHEDRON, -1)
 
 
+def test_faces_by_dimension_guard(monkeypatch):
+    # with the guard at 2^3, at most 8 distinct faces are listed in one dimension
+    monkeypatch.setattr(complexes, "ENUMERATION_GUARD", 3)
+    edges = [(2 * i, 2 * i + 1) for i in range(5)]
+    assert [len(level) for level in faces_by_dimension(SimplicialComplex(edges[:4]), 1)] == [8, 4]
+    # ten vertices, two at a time: only the running union passes the limit
+    with pytest.raises(EnumerationGuardError, match="dimension 0 "):
+        faces_by_dimension(SimplicialComplex(edges), 1)
+    # one facet with C(5, 2) = 10 edges is refused before any face is listed
+    assert [len(level) for level in faces_by_dimension(SimplicialComplex([range(4)]), 3)] == [4, 6, 4, 1]
+    with pytest.raises(EnumerationGuardError, match="dimension 1 "):
+        faces_by_dimension(SimplicialComplex([range(5)]), 1)
+    assert len(faces_by_dimension(SimplicialComplex([range(5)]), 0)[0]) == 5
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(
@@ -330,8 +346,7 @@ def test_facet_nerve_preserves_torsion():
 def test_facet_nerve_matches_direct_route_on_fat_nerve():
     # the collapsed nerve of the s=3 maximal members has few facets but huge
     # face counts; the facet-cover model must agree with direct expansion
-    sets = [frozenset(bits(s)) for s in families.maximal_members(s_multiple(3), 8)]
-    nc = strong_collapse(nerve(sets))
+    nc = strong_collapse(nerve(families.maximal_members(s_multiple(3), 8)))
     direct = reduced_homology(nc, 2)
     via_model = reduced_homology(strong_collapse(facet_nerve(nc)), 2)
     assert direct == via_model

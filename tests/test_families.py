@@ -356,13 +356,7 @@ def test_small_count_closed_forms():
         tri = families.count_triangle(kind, 17)
         for n in range(2, 18):
             for k in (1, 2):
-                assert families.small_count_closed_form(kind, n, k) == tri.count(n, k)
-    with pytest.raises(ValueError):
-        families.small_count_closed_form(PRIMITIVE, 5, 3)
-    with pytest.raises(ValueError):
-        families.small_count_closed_form(COPRIME_FREE, 5, 1)
-    with pytest.raises(ValueError):
-        families.small_count_closed_form(PRIMITIVE, 1, 1)
+                assert oracles.small_count_closed_form(kind.name, n, k) == tri.count(n, k)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
@@ -522,8 +516,8 @@ def test_is_member_large_elements_against_oracle(kind, base, multipliers):
 def test_distinct_pair_products_many_elements():
     # products of two distinct primes never repeat; 2 * 3p == 3 * 2p repeats
     # one at the largest elements, so the fold runs through the whole subset
-    primes = numthy.sieve(2500).primes()[:300]
-    p = numthy.sieve(5000).primes()[-1]
+    primes = oracles.primes_upto(2500)[:300]
+    p = oracles.primes_upto(5000)[-1]
     assert families.is_member(DISTINCT_PAIR_PRODUCTS, mask_of(primes))
     clash = mask_of(primes + [2 * p, 3 * p])
     assert not families.is_member(DISTINCT_PAIR_PRODUCTS, clash)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from crosscut.families import (
     PAIRWISE_COPRIME,
     PRIMITIVE,
     PRODUCT_FREE,
+    EnumerationGuardError,
     Partition,
     count_triangle,
     maximal_members,
@@ -243,8 +245,22 @@ def test_crosscut_complex_equals_nerve_of_coatoms():
             lat = FamilyLattice(kind, n)
             coatoms = lat.coatoms()
             literal = crosscut_complex(lat, coatoms)
-            shortcut = nerve([bits(s) for s in coatoms])
+            shortcut = nerve(coatoms)
             assert literal == shortcut, (kind.label(), n)
+
+
+def test_faces_guard_on_fat_crosscut_complex():
+    # the coatom cross-cut complex of smultiple(3) at n = 12 has 12 facets of up
+    # to 55 vertices: one facet alone has C(55, 6) > 2^24 faces of dimension 5
+    lat = FamilyLattice(s_multiple(3), 12)
+    c = crosscut_complex(lat, lat.coatoms())
+    assert len(c.facets) == 12 and c.dim == 54
+    start = time.monotonic()
+    with pytest.raises(EnumerationGuardError, match="dimension 5 "):
+        homology.reduced_homology(c, 4)
+    assert time.monotonic() - start < 1
+    groups = homology.reduced_homology(strong_collapse(facet_nerve(c)), 2)
+    assert groups == [homology.HomologyGroup(0), homology.HomologyGroup(0), homology.HomologyGroup(45)]
 
 
 def test_rota_crosscut_theorem():
