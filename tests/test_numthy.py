@@ -34,6 +34,14 @@ def test_chebyshev_count_examples():
         assert len(numthy.chebyshev_primes(n)) == count, n
 
 
+def test_chebyshev_count_brute():
+    # C(n) counted straight from the primes up to n, one brute-force list per n
+    for n in range(2, 300):
+        want = [p for p in oracles.primes_upto(n) if 2 * p > n]
+        assert numthy.chebyshev_primes(n) == want
+    assert numthy.chebyshev_primes(1) == []
+
+
 def test_domain_errors():
     for fn in (numthy.factorize, numthy.is_squarefree, numthy.chebyshev_primes):
         with pytest.raises(ValueError):
