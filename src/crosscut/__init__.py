@@ -6,7 +6,6 @@ from .complexes import (
     coprime_free_collapsed,
     face_complex,
     faces_by_dimension,
-    facet_nerve,
     nerve,
     strong_collapse,
 )
@@ -36,7 +35,6 @@ from .homology import (
     BoundaryMatrix,
     HomologyGroup,
     boundary_matrix,
-    euler_check,
     reduced_homology,
     smith_normal_form,
 )

@@ -74,6 +74,9 @@ def nerve(masks) -> SimplicialComplex:
 
     Built from witness faces: each element e of the union contributes the face
     {i : e in masks[i]}, and every nerve face lies inside one of these.
+    Intersections of simplices are simplices, so c's facet cover is good and
+    nerve(c.facets) keeps c's homotopy type: the model of choice when the facets
+    are few but too large to expand face by face.
     """
     masks = list(masks)
     if bad := [m for m in masks if isinstance(m, bool) or not isinstance(m, int) or m <= 0]:
@@ -110,16 +113,6 @@ def strong_collapse(c: SimplicialComplex) -> SimplicialComplex:
     while (victim := _dominated_removal(c)) is not None:
         c = SimplicialComplex.from_masks(f & ~(1 << victim) for f in c.facets)
     return c
-
-
-def facet_nerve(c: SimplicialComplex) -> SimplicialComplex:
-    """Nerve of the facet cover, on one vertex per facet.
-
-    Intersections of simplices are empty or simplices, so the cover is good and
-    the nerve carries the homotopy type; it is the model of choice when the
-    facets are few but too large to expand face by face.
-    """
-    return nerve(c.facets)
 
 
 def coprime_free_collapsed(n: int) -> SimplicialComplex:

@@ -207,8 +207,8 @@ def is_member(kind: FamilyKind, subset: int) -> bool:
     Depends only on the elements, never on the universe size; the empty set
     always belongs; stops at the first element that an earlier one ruled out.
     """
-    if subset < 0 or subset & 1:
-        raise ValueError(f"{subset} is not a subset mask: negative or bit 0 set")
+    if isinstance(subset, bool) or not isinstance(subset, int) or subset < 0 or subset & 1:
+        raise ValueError(f"{subset!r} is not a subset mask: a non-int, negative or bit 0 set")
     elems = bits(subset)
     cand, forbid = _RULES[kind.name](kind, elems)
     mask = 0
@@ -310,24 +310,12 @@ def _free_primes(kind: FamilyKind, n: int) -> list[int]:
     return numthy.chebyshev_primes(n) if kind.name in _FREE_PRIME_FAMILIES else []
 
 
-def _add_free(by_max: list[list[int]], free: list[int]) -> None:
-    """Fold the free primes, ascending, into the (max element, size) histogram
-    of members: each member may take f or not, and f becomes the largest
-    element of those below it."""
-    for f in free:
-        below = [sum(col) for col in zip(*by_max[:f])]
-        by_max[f] = [0, *below[:-1]]
-        for m in range(f + 1, len(by_max)):
-            row = by_max[m]
-            by_max[m] = [a + b for a, b in zip(row, [0, *row[:-1]])]
-
-
 def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD) -> CountTriangle:
     """The full (n,k) triangle for 1 <= n <= n_max by exhaustive member enumeration.
 
-    One DFS pass aggregates members by (max element, cardinality); row n is the
-    cumulative sum over max <= n. The walk skips the free primes of
-    _FREE_PRIME_FAMILIES, and _add_free folds them back in.
+    One DFS pass skips the free primes of _FREE_PRIME_FAMILIES and aggregates
+    members by (max element, cardinality). Row n is the cumulative sum over max
+    <= n times (1 + x)^c: each member takes any subset of the c free primes <= n.
     """
     _check_size(n_max, guard)
     by_max = [[0] * (n_max + 1) for _ in range(n_max + 1)]
@@ -338,13 +326,14 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
 
     free = _free_primes(kind, n_max)
     _walk(kind, n_max, visit, _mask(free))
-    _add_free(by_max, free)
 
     rows = []
     acc = by_max[0]
     for n in range(1, n_max + 1):
-        acc = [a + b for a, b in zip(acc, by_max[n])]
-        rows.append(tuple(acc[: n + 1]))
+        acc = row = [a + b for a, b in zip(acc, by_max[n])]
+        for _ in range(sum(p <= n for p in free)):
+            row = [a + b for a, b in zip(row, [0, *row[:-1]])]
+        rows.append(tuple(row[: n + 1]))
     return CountTriangle(kind, n_max, tuple(rows))
 
 

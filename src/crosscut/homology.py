@@ -184,7 +184,8 @@ def smith_normal_form(m) -> tuple[tuple[int, ...], int]:
 
 def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:
     """H~_d for d = 0..d_max: rank f_d - rank d_d - rank d_{d+1}, torsion from the
-    invariant factors of d_{d+1}."""
+    invariant factors of d_{d+1}. Only d >= 0 is reported, so {empty set}, the
+    complex with no facets, reads 0 everywhere though its H~_{-1} is Z."""
     if d_max < 0:
         raise ValueError(f"need d_max >= 0, got {d_max}")
     levels = [[0], *faces_by_dimension(c, d_max + 1)]  # levels[d + 1] holds the d-faces
@@ -200,16 +201,3 @@ def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:
         torsion = tuple(v for v in chains[d + 1] if v > 1)
         out.append(HomologyGroup(rank, torsion))
     return out
-
-
-def euler_check(c: SimplicialComplex, d_max: int) -> bool:
-    """Euler-Poincare consistency: alternating face count minus one equals the
-    alternating sum of homology ranks; vacuously true for the empty complex."""
-    if not c.facets:
-        return True
-    if c.dim > d_max:
-        raise ValueError(f"complex has dimension {c.dim}, above the cap {d_max}")
-    levels = faces_by_dimension(c, d_max)
-    lhs = sum((-1) ** d * len(level) for d, level in enumerate(levels)) - 1
-    rhs = sum((-1) ** d * g.rank for d, g in enumerate(reduced_homology(c, d_max)))
-    return lhs == rhs

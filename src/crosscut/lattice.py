@@ -2,8 +2,8 @@
 
 The lattice on a downward-closed family is graded by cardinality (covers add one
 element), meet is intersection, and the join of a subset is the least member
-containing its union, or the synthetic top when none does. Members are subset
-masks, bit x for element x, as in families.
+containing its union, or the synthetic top TOP = -1 (all bits set) when none
+does. Members are subset masks, bit x for element x, as in families.
 """
 
 from __future__ import annotations
@@ -16,21 +16,7 @@ from .complexes import SimplicialComplex, nerve
 from .families import ENUMERATION_GUARD, FamilyKind
 
 
-class _Top:
-    """Synthetic top element, distinct from every member."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TOP"
-
-
-TOP = _Top()
+TOP = -1
 
 
 class FamilyLattice:
@@ -44,13 +30,9 @@ class FamilyLattice:
         self.bottom = self.members[0]
 
     def is_element(self, x) -> bool:
-        return x is TOP or x in self._masks
+        return type(x) is int and (x == TOP or x in self._masks)  # no bool or float
 
     def leq(self, x, y) -> bool:
-        if y is TOP:
-            return True
-        if x is TOP:
-            return False
         return x & ~y == 0
 
     def coatoms(self) -> list[int]:
@@ -74,9 +56,9 @@ def mobius(lat: FamilyLattice, x, y) -> int:
     _require_elements(lat, [x, y])
     if not lat.leq(x, y):
         raise ValueError("mobius needs a comparable pair x <= y")
-    if x is TOP:
+    if x == TOP:
         return 1
-    if y is not TOP:
+    if y != TOP:
         return -1 if (y.bit_count() - x.bit_count()) & 1 else 1
     k = x.bit_count()
     return -sum(-1 if (m.bit_count() - k) & 1 else 1 for m in lat._masks if x & ~m == 0)
@@ -87,10 +69,8 @@ def is_crosscut(lat: FamilyLattice, cut) -> bool:
     comparable with itself), and meets every maximal chain; the chain search visits
     each lattice element at most once."""
     cut = list(cut)
-    if any(x is TOP for x in cut):
-        return False
     _require_elements(lat, cut)
-    if 0 in cut or any(a & ~b == 0 for a, b in combinations(sorted(cut), 2)):
+    if TOP in cut or 0 in cut or any(a & ~b == 0 for a, b in combinations(sorted(cut), 2)):
         return False
     # walk the ranks from the bottom through members outside the cut: a maximal
     # chain avoids the cut exactly when this reaches a coatom

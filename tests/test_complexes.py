@@ -13,7 +13,6 @@ from crosscut.complexes import (
     coprime_free_collapsed,
     face_complex,
     faces_by_dimension,
-    facet_nerve,
     nerve,
     strong_collapse,
 )
@@ -311,13 +310,13 @@ def test_faces_by_dimension_counts(faces):
 
 
 def test_facet_nerve_small_models():
-    assert facet_nerve(SimplicialComplex([])) == SimplicialComplex([])
-    assert facet_nerve(SimplicialComplex([(1, 2, 3)])) == SimplicialComplex([(0,)])
-    two = facet_nerve(SimplicialComplex([(1, 2), (3, 4)]))
+    assert nerve(SimplicialComplex([]).facets) == SimplicialComplex([])
+    assert nerve(SimplicialComplex([(1, 2, 3)]).facets) == SimplicialComplex([(0,)])
+    two = nerve(SimplicialComplex([(1, 2), (3, 4)]).facets)
     assert two == SimplicialComplex([(0,), (1,)])
     # vertices are indices into the sorted facet list
     c = SimplicialComplex([(1, 2), (2, 3), (3, 4)])
-    assert facet_nerve(c) == SimplicialComplex([(0, 1), (1, 2)])
+    assert nerve(c.facets) == SimplicialComplex([(0, 1), (1, 2)])
 
 
 def test_facet_nerve_preserves_homology():
@@ -328,7 +327,7 @@ def test_facet_nerve_preserves_homology():
         coprime_free_collapsed(30),
     ):
         d = max(c.dim, 0)
-        model = strong_collapse(facet_nerve(c))
+        model = strong_collapse(nerve(c.facets))
         assert reduced_homology(model, d) == reduced_homology(c, d), c
 
 
@@ -339,7 +338,7 @@ def test_facet_nerve_preserves_torsion():
             (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
         ]
     )
-    groups = reduced_homology(strong_collapse(facet_nerve(rp2)), 2)
+    groups = reduced_homology(strong_collapse(nerve(rp2.facets)), 2)
     assert [(g.rank, g.torsion) for g in groups] == [(0, ()), (0, (2,)), (0, ())]
 
 
@@ -348,6 +347,6 @@ def test_facet_nerve_matches_direct_route_on_fat_nerve():
     # face counts; the facet-cover model must agree with direct expansion
     nc = strong_collapse(nerve(families.maximal_members(s_multiple(3), 8)))
     direct = reduced_homology(nc, 2)
-    via_model = reduced_homology(strong_collapse(facet_nerve(nc)), 2)
+    via_model = reduced_homology(strong_collapse(nerve(nc.facets)), 2)
     assert direct == via_model
     assert direct == reduced_homology(face_complex(s_multiple(3), 8), 2)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -90,8 +91,8 @@ def test_subset_mask_roundtrip(n, data):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_is_member_rejects_non_subset_masks(kind):
-    for mask in (-2, -1, 1, 0b111):
-        with pytest.raises(ValueError):
+    for mask in (-2, -1, 1, 0b111, False, True, 2.0, "6", None):
+        with pytest.raises(ValueError, match=re.escape(f"{mask!r} is not a subset mask")):
             families.is_member(kind, mask)
 
 
@@ -337,6 +338,15 @@ def test_count_triangle_accessors():
         tri.count(0, 0)
     with pytest.raises(ValueError):
         tri.count(3, 4)
+
+
+def test_cone_families_alternating_sums():
+    # -altsum is the reduced Euler characteristic of the face complex: a cone on
+    # a free prime for distinctpairproducts and on 1 for divisibilitychain, and
+    # for nodivisorofpairproduct the isolated vertex 1 beside a cone on a free prime
+    for kind, value in ((DISTINCT_PAIR_PRODUCTS, 0), (DIVISIBILITY_CHAIN, 0), (NO_DIVISOR_OF_PAIR_PRODUCT, -1)):
+        tri = families.count_triangle(kind, 24)
+        assert [tri.alternating_sum(n) for n in range(2, 25)] == [value] * 23, kind.label()
 
 
 def test_prime_recurrence_all_three():

@@ -12,14 +12,13 @@ from crosscut.complexes import (
     coprime_free_collapsed,
     face_complex,
     faces_by_dimension,
-    facet_nerve,
+    nerve,
     strong_collapse,
 )
 from crosscut.families import COPRIME_FREE, s_multiple
 from crosscut.homology import (
     HomologyGroup,
     boundary_matrix,
-    euler_check,
     reduced_homology,
     smith_normal_form,
 )
@@ -217,17 +216,6 @@ def test_betti_zero_fast():
     assert reduced_homology(SimplicialComplex([]), 0)[0].rank == 0
 
 
-def test_euler_check():
-    assert euler_check(OCTAHEDRON, 2)
-    assert euler_check(OCTAHEDRON, 5)
-    assert euler_check(SimplicialComplex([(1,)]), 0)
-    assert euler_check(SimplicialComplex([(1,), (2,)]), 1)
-    assert euler_check(SimplicialComplex([]), 0)
-    assert euler_check(RP2, 2)
-    with pytest.raises(ValueError):
-        euler_check(OCTAHEDRON, 1)
-
-
 def test_octahedron_euler_arithmetic():
     levels = faces_by_dimension(OCTAHEDRON, 2)
     assert [len(level) for level in levels] == [6, 12, 8]
@@ -241,10 +229,14 @@ def test_octahedron_euler_arithmetic():
 def test_random_complex_consistency(faces):
     c = SimplicialComplex(faces)
     d = max(c.dim, 0)
-    assert euler_check(c, d)
+    maps = [boundary_matrix(c, k) for k in range(d + 2)]
+    dense = [oracles.to_dense(m) for m in maps]
     for k in range(1, d + 1):
-        prod = mat_mul(*(oracles.to_dense(boundary_matrix(c, j)) for j in (k, k + 1)))
+        prod = mat_mul(dense[k], dense[k + 1])
         assert all(v == 0 for row in prod for v in row)
+    ranks = [oracles.rank_over_q(m) for m in dense]
+    for k, g in enumerate(reduced_homology(c, d)):
+        assert g.rank == len(maps[k].cols) - ranks[k] - ranks[k + 1], k
 
 
 @settings(deadline=None, max_examples=40)
@@ -312,10 +304,9 @@ def test_random_complexes_with_torsion(faces, labels):
     ranks = [oracles.rank_over_q(oracles.to_dense(m)) for m in maps]
     for k, g in enumerate(groups):
         assert g.rank == len(maps[k].cols) - ranks[k] - ranks[k + 1], k
-    assert euler_check(c, d)
     assert reduced_homology(relabel(c, labels), d) == groups
     assert reduced_homology(strong_collapse(c), d) == groups
-    assert reduced_homology(strong_collapse(facet_nerve(c)), d) == groups
+    assert reduced_homology(strong_collapse(nerve(c.facets)), d) == groups
 
 
 # --- the pruned unit stack keeps every pivot, in order ---------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from crosscut import homology
 from crosscut.cliques import bits
-from crosscut.complexes import facet_nerve, nerve, strong_collapse
+from crosscut.complexes import coprime_free_collapsed, face_complex, nerve, strong_collapse
 from crosscut.families import (
     COPRIME_FREE,
     DIVISIBILITY_CHAIN,
@@ -22,7 +22,6 @@ from crosscut.families import (
 from crosscut.lattice import (
     TOP,
     FamilyLattice,
-    _Top,
     crosscut_complex,
     is_crosscut,
     mobius,
@@ -46,8 +45,7 @@ def mask_of(elements) -> int:
 
 
 def test_top_is_a_singleton():
-    assert _Top() is TOP
-    assert repr(TOP) == "TOP"
+    assert TOP == -1
 
 
 def test_lattice_basics():
@@ -57,6 +55,10 @@ def test_lattice_basics():
     assert lat.is_element(TOP)
     assert lat.is_element(lat.bottom)
     assert not lat.is_element(mask_of([2, 4]))
+    for x in (False, True, 0.0, -1.0, "0"):
+        assert not lat.is_element(x)
+        with pytest.raises(ValueError, match="is not an element"):
+            is_crosscut(lat, [x])
     assert lat.leq(lat.bottom, TOP)
     assert not lat.leq(TOP, lat.bottom)
     assert [bits(s) for s in lat.coatoms()] == [[1], [2, 3], [3, 4]]
@@ -193,7 +195,7 @@ def test_crosscut_complex_builds_large_coatom_cuts():
         lat = FamilyLattice(kind, n)
         coatoms = lat.coatoms()
         assert len(coatoms) == coatom_count
-        model = strong_collapse(facet_nerve(crosscut_complex(lat, coatoms)))
+        model = strong_collapse(nerve(crosscut_complex(lat, coatoms).facets))
         assert len(model.vertices) <= n
         groups = homology.reduced_homology(model, max(model.dim, 0))
         assert [g.rank for g in groups] == [rank if k == d else 0 for k in range(len(groups))]
@@ -259,8 +261,30 @@ def test_faces_guard_on_fat_crosscut_complex():
     with pytest.raises(EnumerationGuardError, match="dimension 5 "):
         homology.reduced_homology(c, 4)
     assert time.monotonic() - start < 1
-    groups = homology.reduced_homology(strong_collapse(facet_nerve(c)), 2)
+    groups = homology.reduced_homology(strong_collapse(nerve(c.facets)), 2)
     assert groups == [homology.HomologyGroup(0), homology.HomologyGroup(0), homology.HomologyGroup(45)]
+
+
+def test_counting_equals_topology():
+    # -altsum(n), mu(bottom, TOP) and the reduced Euler characteristic of the
+    # collapsed face complex are one number; {empty set}, the complex with no
+    # facets, has chi~ = -1 through H~_{-1}, which reduced_homology does not report
+    def euler(c):
+        if not c.facets:
+            return -1
+        groups = homology.reduced_homology(c, max(c.dim, 0))
+        return sum((-1) ** d * g.rank for d, g in enumerate(groups))
+
+    for kind in ALL_KINDS:
+        for n in range(1, 13):
+            alt = count_triangle(kind, n).alternating_sum(n)  # row n folds its own free primes
+            mu = mobius(FamilyLattice(kind, n), 0, TOP)
+            c = strong_collapse(face_complex(kind, n))
+            assert -alt == mu == euler(c), (kind.label(), n)
+    tri = count_triangle(COPRIME_FREE, 30, guard=30)
+    for n in range(1, 31):
+        mu = mobius(FamilyLattice(COPRIME_FREE, n, guard=30), 0, TOP)
+        assert -tri.alternating_sum(n) == mu == euler(coprime_free_collapsed(n)), n
 
 
 def test_rota_crosscut_theorem():
