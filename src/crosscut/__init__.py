@@ -31,13 +31,7 @@ from .families import (
     partition_components,
     s_multiple,
 )
-from .homology import (
-    BoundaryMatrix,
-    HomologyGroup,
-    boundary_matrix,
-    reduced_homology,
-    smith_normal_form,
-)
+from .homology import HomologyGroup, reduced_homology
 from .lattice import TOP, FamilyLattice, crosscut_complex, is_crosscut, mobius
 from .numthy import factorize, is_squarefree
 

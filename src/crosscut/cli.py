@@ -415,7 +415,8 @@ def main(argv=None) -> int:
     guard = ENUMERATION_GUARD
     if args.guard_override is not None:
         guard = args.guard_override
-        print(f"warning: enumeration guard raised to 2^{guard}", file=sys.stderr)
+        moved = "raised" if guard >= ENUMERATION_GUARD else "lowered"
+        print(f"warning: enumeration guard {moved} to 2^{guard}", file=sys.stderr)
     try:
         code, text = _dispatch(args, guard)
         if args.out:

@@ -271,18 +271,22 @@ class CountTriangle:
     n_max: int
     rows: tuple[tuple[int, ...], ...]
 
-    def count(self, n: int, k: int) -> int:
+    def _row(self, n: int) -> tuple[int, ...]:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"n={n} outside 1..{self.n_max}")
+        return self.rows[n - 1]
+
+    def count(self, n: int, k: int) -> int:
+        row = self._row(n)
         if not 0 <= k <= n:
             raise ValueError(f"k={k} outside 0..{n}")
-        return self.rows[n - 1][k]
+        return row[k]
 
     def row_sum(self, n: int) -> int:
-        return sum(self.rows[n - 1])
+        return sum(self._row(n))
 
     def alternating_sum(self, n: int) -> int:
-        return sum(c if k % 2 == 0 else -c for k, c in enumerate(self.rows[n - 1]))
+        return sum(c if k % 2 == 0 else -c for k, c in enumerate(self._row(n)))
 
 
 # A prime p with n/2 < p <= n divides no other element of [n], and p*a > n for

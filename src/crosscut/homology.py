@@ -8,23 +8,11 @@ trivial homology everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from .cliques import bits
 from .complexes import SimplicialComplex, faces_by_dimension
-
-
-@dataclass(eq=True)
-class BoundaryMatrix:
-    """Matrix of d_d: rows index (d-1)-faces, columns index d-faces, both ascending
-    vertex masks, and columns[j][i] is the nonzero entry (+-1) in row i of column
-    j; for d=0 the single row 0, the empty face, is the augmentation."""
-
-    dim: int
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
-    columns: dict[int, dict[int, int]] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -44,15 +32,6 @@ def _boundary(rows: list[int], cols: list[int]) -> dict[int, dict[int, int]]:
         j: {index[sigma ^ 1 << v]: -1 if k & 1 else 1 for k, v in enumerate(bits(sigma))}
         for j, sigma in enumerate(cols)
     }
-
-
-def boundary_matrix(c: SimplicialComplex, d: int) -> BoundaryMatrix:
-    """Boundary map from d-faces to (d-1)-faces, built as reduced_homology
-    builds it; the omitted-vertex position sets the sign (-1)^position."""
-    if d < 0:
-        raise ValueError(f"need d >= 0, got {d}")
-    rows, cols = [[0], *faces_by_dimension(c, d)][d:]  # 0, the empty face, is the one (-1)-face
-    return BoundaryMatrix(d, tuple(rows), tuple(cols), _boundary(rows, cols))
 
 
 _PRUNE_FACTOR, _PRUNE_SLACK = 4, 1 << 18  # the unit stack's bound, see _pivot_values
@@ -106,14 +85,11 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
                 pj, pi = j, i
                 break
         if pj is None:
-            best = None
-            for j, col in cols.items():
-                for i, v in col.items():
-                    if best is None or abs(v) < best[2]:
-                        best = (j, i, abs(v))
-            if best is None:
+            # no unit left: pivot on the first entry of least |v|, if any is left
+            entries = ((j, i, abs(v)) for j, col in cols.items() for i, v in col.items())
+            pj, pi, _ = min(entries, key=lambda e: e[2], default=(None, None, 0))
+            if pj is None:
                 return pivots
-            pj, pi = best[0], best[1]
         while True:
             v = cols[pj][pi]
             for j in sorted(rows[pi]):
@@ -164,22 +140,6 @@ def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:
             g = gcd(a, b)
             rest[i], rest[j] = g, a * b // g
     return (1,) * units + tuple(rest)
-
-
-def smith_normal_form(m) -> tuple[tuple[int, ...], int]:
-    """Invariant factors (units included, d1 | d2 | ...) and rank of a matrix of
-    int entries (no bools) given as rows of one length; the input is not mutated."""
-    cols: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(m := list(m)):
-        if len(row) != len(m[0]):
-            raise ValueError(f"row {i} has {len(row)} entries, row 0 has {len(m[0])}")
-        for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"entry ({i}, {j}) = {v!r} is not an int")
-            if v:
-                cols.setdefault(j, {})[i] = v
-    factors = _divisibility_chain(_pivot_values(cols))
-    return factors, len(factors)
 
 
 def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:

@@ -180,10 +180,12 @@ def crosscut_complex_by_subsets(name: str, n: int, cut, s: int | None = None) ->
 # --- exact linear algebra oracles --------------------------------------------
 
 
-def to_dense(bm) -> list[list[int]]:
-    """A BoundaryMatrix's columns as a len(rows) x len(cols) list of rows."""
-    m = [[0] * len(bm.cols) for _ in bm.rows]
-    for j, col in bm.columns.items():
+def to_dense(b) -> list[list[int]]:
+    """A (rows, cols, {col: {row: value}}) boundary as a len(rows) x len(cols)
+    list of rows."""
+    rows, cols, columns = b
+    m = [[0] * len(cols) for _ in rows]
+    for j, col in columns.items():
         for i, v in col.items():
             m[i][j] = v
     return m

@@ -24,16 +24,13 @@ from crosscut.families import (
     partition_components,
     s_multiple,
 )
-from crosscut.homology import (
-    HomologyGroup,
-    boundary_matrix,
-    reduced_homology,
-)
+from crosscut.homology import HomologyGroup, reduced_homology
 from crosscut.lattice import TOP, FamilyLattice, crosscut_complex, mobius
 from crosscut.numthy import chebyshev_primes
 
 import oracles
 from test_cli import DATA
+from test_homology import boundary
 
 PRIMITIVE = kind_from_name("primitive")
 COPRIME = kind_from_name("coprime")
@@ -144,7 +141,7 @@ def test_criterion_8_oracle_equivalence():
         """The sum of (-1)^d rank H~_d over d >= 0, after checking d o d = 0."""
         top = max(c.dim, 0)
         for d in range(1, top + 1):
-            prod = mat_mul(*(oracles.to_dense(boundary_matrix(c, k)) for k in (d, d + 1)))
+            prod = mat_mul(*(oracles.to_dense(boundary(c, k)) for k in (d, d + 1)))
             assert all(v == 0 for row in prod for v in row)
         return sum((-1) ** d * g.rank for d, g in enumerate(reduced_homology(c, top)))
 

@@ -357,6 +357,11 @@ def test_main_guard_error_and_override(capsys):
     captured = capsys.readouterr()
     assert "warning: enumeration guard raised to 2^26" in captured.err
     assert captured.out.startswith("n,k,count\n")
+    # an override below the default lowers the guard, and says so
+    assert main(["table", "--family", "primitive", "--n", "3", "--guard-override", "3"]) == 0
+    captured = capsys.readouterr()
+    assert "warning: enumeration guard lowered to 2^3" in captured.err
+    assert "raised" not in captured.err
 
 
 def test_main_guard_override_below_one_exits_two(capsys):

@@ -338,6 +338,13 @@ def test_count_triangle_accessors():
         tri.count(0, 0)
     with pytest.raises(ValueError):
         tri.count(3, 4)
+    # row_sum and alternating_sum range-check n as count does, rather than
+    # wrapping to a row from the end or reading past the last one
+    tri6 = families.count_triangle(PRIMITIVE, 6)
+    for n in (0, -2, 7):
+        for accessor in (tri6.row_sum, tri6.alternating_sum):
+            with pytest.raises(ValueError, match=re.escape(f"n={n} outside 1..6")):
+                accessor(n)
 
 
 def test_cone_families_alternating_sums():

@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import pytest
@@ -16,15 +15,11 @@ from crosscut.complexes import (
     strong_collapse,
 )
 from crosscut.families import COPRIME_FREE, s_multiple
-from crosscut.homology import (
-    HomologyGroup,
-    boundary_matrix,
-    reduced_homology,
-    smith_normal_form,
-)
+from crosscut.homology import HomologyGroup, reduced_homology
 from crosscut.numthy import chebyshev_primes
 
 import oracles
+from test_families import ALL_KINDS
 
 OCTAHEDRON = SimplicialComplex(
     [
@@ -52,6 +47,26 @@ RANDOM_FACES = st.lists(
 )
 
 
+def boundary(c, d):
+    """(rows, cols, {col: {row: sign}}) of d_d, built as reduced_homology builds
+    it: rows and cols are the ascending (d-1)- and d-face masks, and for d = 0
+    the one row 0, the empty face, is the augmentation."""
+    rows, cols = [[0], *faces_by_dimension(c, d)][d:]
+    return tuple(rows), tuple(cols), homology._boundary(rows, cols)
+
+
+def snf(m):
+    """Invariant factors (units included, d1 | d2 | ...) and rank of the integer
+    matrix m, given as rows, from the elimination reduced_homology runs."""
+    cols: dict[int, dict[int, int]] = {}
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            if v:
+                cols.setdefault(j, {})[i] = v
+    factors = homology._divisibility_chain(homology._pivot_values(cols))
+    return factors, len(factors)
+
+
 def mat_mul(a, b):
     return [
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
@@ -61,72 +76,50 @@ def mat_mul(a, b):
 
 def test_boundary_edge_orientation():
     c = SimplicialComplex([(3, 7)])
-    bm = boundary_matrix(c, 1)
-    assert bm.rows == (1 << 3, 1 << 7)
-    assert bm.cols == (1 << 3 | 1 << 7,)
+    bm = rows, cols, _ = boundary(c, 1)
+    assert rows == (1 << 3, 1 << 7)
+    assert cols == (1 << 3 | 1 << 7,)
     dense = oracles.to_dense(bm)
     assert dense == [[-1], [1]]
 
 
 def test_boundary_dim_zero_is_augmentation():
     c = SimplicialComplex([(1,), (5,)])
-    bm = boundary_matrix(c, 0)
-    assert bm.rows == (0,)
+    bm = rows, _, _ = boundary(c, 0)
+    assert rows == (0,)
     assert oracles.to_dense(bm) == [[1, 1]]
 
 
 def test_boundary_column_signs_alternate():
-    bm = boundary_matrix(OCTAHEDRON, 2)
-    for j in range(len(bm.cols)):
-        signs = [bm.columns[j][i] for i in sorted(bm.columns[j])]
+    _, faces, columns = boundary(OCTAHEDRON, 2)
+    for j in range(len(faces)):
+        signs = [columns[j][i] for i in sorted(columns[j])]
         assert signs == [1, -1, 1]
 
 
 def test_boundary_composition_is_zero():
     for c in (OCTAHEDRON, RP2, face_complex(COPRIME_FREE, 12), coprime_free_collapsed(30)):
         for d in range(1, max(c.dim, 0) + 1):
-            prod = mat_mul(*(oracles.to_dense(boundary_matrix(c, k)) for k in (d, d + 1)))
+            prod = mat_mul(*(oracles.to_dense(boundary(c, k)) for k in (d, d + 1)))
             assert all(v == 0 for row in prod for v in row), d
 
 
 def test_octahedron_boundary_rank():
-    dense = oracles.to_dense(boundary_matrix(OCTAHEDRON, 2))
+    dense = oracles.to_dense(boundary(OCTAHEDRON, 2))
     assert len(dense) == 12 and len(dense[0]) == 8
     assert oracles.rank_over_q(dense) == 7
-    assert smith_normal_form(dense)[1] == 7
+    assert snf(dense)[1] == 7
 
 
 def test_smith_normal_form_examples():
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == ((1, 1, 1), 3)
-    assert smith_normal_form([[0, 0], [0, 0]]) == ((), 0)
-    assert smith_normal_form([]) == ((), 0)
-    assert smith_normal_form([[2, 0], [0, 3]]) == ((1, 6), 2)
-    assert smith_normal_form([[2, 4], [4, 2]]) == ((2, 6), 2)
-    assert smith_normal_form([[6]]) == ((6,), 1)
-    assert smith_normal_form([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == ((1, 1, 6), 3)
-    # a ragged matrix is rejected, not padded with zeros
-    for m, where in (
-        ([[1, 2], [3]], "row 1 has 1 entries, row 0 has 2"),
-        ([[2], [0, 0, 4]], "row 1 has 3 entries, row 0 has 1"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(where)):
-            smith_normal_form(m)
-    # entries are never converted: a float, a string or a bool is rejected by position
-    for m, where in (
-        ([[0.5]], "(0, 0) = 0.5"),
-        ([[2, 0], [0, 2.5]], "(1, 1) = 2.5"),
-        ([["3"]], "(0, 0) = '3'"),
-        ([[1, 0], [True, 1]], "(1, 0) = True"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(f"entry {where} is not an int")):
-            smith_normal_form(m)
-
-
-def test_smith_normal_form_does_not_mutate():
-    m = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    copy = [row[:] for row in m]
-    assert smith_normal_form(m) == ((2, 2, 156), 3)
-    assert m == copy
+    assert snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == ((1, 1, 1), 3)
+    assert snf([[0, 0], [0, 0]]) == ((), 0)
+    assert snf([]) == ((), 0)
+    assert snf([[2, 0], [0, 3]]) == ((1, 6), 2)
+    assert snf([[2, 4], [4, 2]]) == ((2, 6), 2)
+    assert snf([[6]]) == ((6,), 1)
+    assert snf([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == ((1, 1, 6), 3)
+    assert snf([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == ((2, 2, 156), 3)
 
 
 @settings(deadline=None, max_examples=150)
@@ -140,7 +133,7 @@ def test_smith_normal_form_against_minor_oracle(nrows, ncols, data):
         [data.draw(st.integers(min_value=-9, max_value=9)) for _ in range(ncols)]
         for _ in range(nrows)
     ]
-    factors, rank = smith_normal_form(m)
+    factors, rank = snf(m)
     assert (factors, rank) == oracles.snf_by_minors(m)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
 
@@ -156,7 +149,7 @@ def test_smith_rank_matches_rational_rank(nrows, ncols, data):
         [data.draw(st.integers(min_value=-20, max_value=20)) for _ in range(ncols)]
         for _ in range(nrows)
     ]
-    assert smith_normal_form(m)[1] == oracles.rank_over_q(m)
+    assert snf(m)[1] == oracles.rank_over_q(m)
 
 
 def test_reduced_homology_examples():
@@ -229,14 +222,28 @@ def test_octahedron_euler_arithmetic():
 def test_random_complex_consistency(faces):
     c = SimplicialComplex(faces)
     d = max(c.dim, 0)
-    maps = [boundary_matrix(c, k) for k in range(d + 2)]
+    maps = [boundary(c, k) for k in range(d + 2)]
     dense = [oracles.to_dense(m) for m in maps]
     for k in range(1, d + 1):
         prod = mat_mul(dense[k], dense[k + 1])
         assert all(v == 0 for row in prod for v in row)
     ranks = [oracles.rank_over_q(m) for m in dense]
     for k, g in enumerate(reduced_homology(c, d)):
-        assert g.rank == len(maps[k].cols) - ranks[k] - ranks[k + 1], k
+        assert g.rank == len(maps[k][1]) - ranks[k] - ranks[k + 1], k
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
+def test_family_complex_ranks_match_rational_ranks(kind):
+    # each rank H~_d is f_d - rank_Q d_d - rank_Q d_{d+1}, the ranks taken from
+    # the dense boundaries by Fraction elimination, not from the Smith form
+    for n in range(1, 9):
+        fc = face_complex(kind, n)
+        for c in (fc, strong_collapse(fc)):
+            d = max(c.dim, 0)
+            maps = [boundary(c, k) for k in range(d + 2)]
+            ranks = [oracles.rank_over_q(oracles.to_dense(m)) for m in maps]
+            for k, g in enumerate(reduced_homology(c, d)):
+                assert g.rank == len(maps[k][1]) - ranks[k] - ranks[k + 1], (n, c is fc, k)
 
 
 @settings(deadline=None, max_examples=40)
@@ -300,10 +307,10 @@ def test_random_complexes_with_torsion(faces, labels):
     d = c.dim
     groups = reduced_homology(c, d)
     assert [g.torsion for g in groups] == [(), (2,), *[()] * (d - 1)]
-    maps = [boundary_matrix(c, k) for k in range(d + 2)]
+    maps = [boundary(c, k) for k in range(d + 2)]
     ranks = [oracles.rank_over_q(oracles.to_dense(m)) for m in maps]
     for k, g in enumerate(groups):
-        assert g.rank == len(maps[k].cols) - ranks[k] - ranks[k + 1], k
+        assert g.rank == len(maps[k][1]) - ranks[k] - ranks[k + 1], k
     assert reduced_homology(relabel(c, labels), d) == groups
     assert reduced_homology(strong_collapse(c), d) == groups
     assert reduced_homology(strong_collapse(nerve(c.facets)), d) == groups
@@ -334,7 +341,7 @@ def test_pivot_order_on_boundaries(prune_every_pivot, faces, with_rp2):
     # with_rp2's d_2 has a non-unit pivot, as its H~1 = Z/2 needs
     for c in (SimplicialComplex(faces), SimplicialComplex(with_rp2)):
         for d in range(c.dim + 2):
-            assert_pivot_order(boundary_matrix(c, d).columns, prune_every_pivot)
+            assert_pivot_order(boundary(c, d)[2], prune_every_pivot)
 
 
 @PRUNING
@@ -356,13 +363,13 @@ def test_pivot_order_on_integer_matrices(prune_every_pivot, nrows, ncols, data):
 
 @PRUNING
 def test_pivot_order_on_coprime_free_d3(prune_every_pivot):
-    assert_pivot_order(boundary_matrix(coprime_free_collapsed(90), 3).columns, prune_every_pivot)
+    assert_pivot_order(boundary(coprime_free_collapsed(90), 3)[2], prune_every_pivot)
 
 
 def test_pivot_values_memory_on_coprime_free_d3():
     # the elimination's own peak on Python 3.10-3.13: 44.2 MB with the unpruned
     # stack (oracles.pivot_values_lifo), 27.9 MB with the pruned one
-    cols = boundary_matrix(coprime_free_collapsed(120), 3).columns
+    cols = boundary(coprime_free_collapsed(120), 3)[2]
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
