@@ -15,17 +15,11 @@ from .families import ENUMERATION_GUARD, EnumerationGuardError, FamilyKind
 from .numthy import is_squarefree
 
 
-def _face_mask(face) -> int:
-    mask = 0
-    for v in face:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"vertex label {v!r} is not a non-negative int")
-        mask |= 1 << v
-    return mask
-
-
 def _maximal_faces(masks) -> tuple[int, ...]:
     """The nonempty faces inside no other face, ascending."""
+    masks = list(masks)
+    if bad := [m for m in masks if isinstance(m, bool) or not isinstance(m, int)]:
+        raise ValueError(f"face mask {bad[0]!r} is not an int")
     faces = set(masks) - {0}
     if (low := min(faces, default=0)) < 0:
         raise ValueError(f"face mask {low} is negative")
@@ -39,21 +33,14 @@ def _maximal_faces(masks) -> tuple[int, ...]:
 @dataclass(init=False, repr=False, unsafe_hash=True)
 class SimplicialComplex:
     """Stored by its facets: vertex masks, bit v set for vertex v, ascending (colex
-    order); construction drops empty and non-maximal faces. Vertex labels are
-    non-negative ints: any other label, bools included, raises ValueError."""
+    order). Built from faces given as masks; construction drops empty and
+    non-maximal faces. A bool, a non-int or a negative mask, which has no finite
+    vertex set, raises ValueError."""
 
     facets: tuple[int, ...]
 
-    def __init__(self, faces):
-        self.facets = _maximal_faces(map(_face_mask, faces))
-
-    @classmethod
-    def from_masks(cls, masks) -> SimplicialComplex:
-        """The complex generated by faces given as vertex masks; a negative mask,
-        which has no finite vertex set, raises ValueError."""
-        c = cls.__new__(cls)
-        c.facets = _maximal_faces(masks)
-        return c
+    def __init__(self, masks):
+        self.facets = _maximal_faces(masks)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -87,13 +74,13 @@ def nerve(masks) -> SimplicialComplex:
     for i, m in enumerate(masks):
         for e in bits(m):
             witness[e] = witness.get(e, 0) | 1 << i
-    return SimplicialComplex.from_masks(witness.values())
+    return SimplicialComplex(witness.values())
 
 
 def face_complex(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) -> SimplicialComplex:
     """Complex whose faces are exactly the members of the family."""
     families._check_size(n, guard)
-    return SimplicialComplex.from_masks(families.maximal_members(kind, n, guard))
+    return SimplicialComplex(families.maximal_members(kind, n, guard))
 
 
 def _dominated_removal(c: SimplicialComplex) -> int | None:
@@ -111,7 +98,7 @@ def strong_collapse(c: SimplicialComplex) -> SimplicialComplex:
     """Repeatedly delete dominated vertices (x is dominated by y when every facet
     containing x contains y) until none remain."""
     while (victim := _dominated_removal(c)) is not None:
-        c = SimplicialComplex.from_masks(f & ~(1 << victim) for f in c.facets)
+        c = SimplicialComplex(f & ~(1 << victim) for f in c.facets)
     return c
 
 
@@ -132,7 +119,7 @@ def coprime_free_collapsed(n: int) -> SimplicialComplex:
         and not any(is_squarefree(m) for m in range(2 * i, n + 1, i))
     ]
     cliques = maximal_cliques([1, *maximal_sf], lambda u, v: gcd(u, v) > 1)
-    return SimplicialComplex.from_masks(cliques)
+    return SimplicialComplex(cliques)
 
 
 def faces_by_dimension(c: SimplicialComplex, d_max: int) -> list[list[int]]:

@@ -38,46 +38,13 @@ class FamilyKind:
         if self.name == "smultiple":
             if type(self.s) is not int or self.s < 1:  # no bool, float or str
                 raise ValueError(f"family smultiple needs an int --s >= 1, got {self.s!r}")
-        elif self.name not in _NAMES_WITHOUT_S:
+        elif self.name not in _RULES:
             raise ValueError(f"unknown family name: {self.name!r}")
         elif self.s is not None:
             raise ValueError(f"family {self.name} takes no --s")
 
     def label(self) -> str:
         return f"smultiple(s={self.s})" if self.name == "smultiple" else self.name
-
-
-_NAMES_WITHOUT_S = frozenset(
-    [
-        "primitive",
-        "coprime",
-        "productfree",
-        "coprimefree",
-        "distinctpairproducts",
-        "nodivisorofpairproduct",
-        "divisibilitychain",
-    ]
-)
-
-PRIMITIVE = FamilyKind("primitive")
-PAIRWISE_COPRIME = FamilyKind("coprime")
-PRODUCT_FREE = FamilyKind("productfree")
-COPRIME_FREE = FamilyKind("coprimefree")
-DISTINCT_PAIR_PRODUCTS = FamilyKind("distinctpairproducts")
-NO_DIVISOR_OF_PAIR_PRODUCT = FamilyKind("nodivisorofpairproduct")
-DIVISIBILITY_CHAIN = FamilyKind("divisibilitychain")
-
-
-def s_multiple(s: int) -> FamilyKind:
-    return FamilyKind("smultiple", s)
-
-
-FAMILY_NAMES = tuple(sorted(_NAMES_WITHOUT_S)) + ("smultiple",)
-
-
-def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
-    """CLI-facing constructor: smultiple requires s, the others forbid it."""
-    return FamilyKind(name, s)
 
 
 # --- incremental extension rules ------------------------------------------------
@@ -199,6 +166,27 @@ _RULES = {
     "distinctpairproducts": _rule_distinctpairproducts,
     "nodivisorofpairproduct": _rule_nodivisorofpairproduct,
 }
+
+
+PRIMITIVE = FamilyKind("primitive")
+PAIRWISE_COPRIME = FamilyKind("coprime")
+PRODUCT_FREE = FamilyKind("productfree")
+COPRIME_FREE = FamilyKind("coprimefree")
+DISTINCT_PAIR_PRODUCTS = FamilyKind("distinctpairproducts")
+NO_DIVISOR_OF_PAIR_PRODUCT = FamilyKind("nodivisorofpairproduct")
+DIVISIBILITY_CHAIN = FamilyKind("divisibilitychain")
+
+
+def s_multiple(s: int) -> FamilyKind:
+    return FamilyKind("smultiple", s)
+
+
+FAMILY_NAMES = tuple(sorted(_RULES))
+
+
+def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
+    """CLI-facing constructor: smultiple requires s, the others forbid it."""
+    return FamilyKind(name, s)
 
 
 def is_member(kind: FamilyKind, subset: int) -> bool:

@@ -93,4 +93,4 @@ def crosscut_complex(lat: FamilyLattice, cut) -> SimplicialComplex:
         raise ValueError("crosscut_complex needs a valid cross-cut")
     order = sorted(cut)
     below = (sum(1 << i for i, c in enumerate(order) if c & ~m == 0) for m in lat.coatoms())
-    return SimplicialComplex.from_masks([*nerve(order).facets, *below])
+    return SimplicialComplex([*nerve(order).facets, *below])

@@ -3,8 +3,6 @@ primes in (n/2, n]."""
 
 from __future__ import annotations
 
-import math
-
 
 def factorize(i: int) -> dict[int, int]:
     """{p: e} with i = prod p**e over the primes p dividing i, by trial division."""
@@ -29,12 +27,8 @@ def is_squarefree(i: int) -> bool:
 
 def chebyshev_primes(n: int) -> list[int]:
     """The primes p with n/2 < p <= n, ascending; each divides no other element of
-    [n]. Sieve of Eratosthenes on 0..n."""
+    [n]."""
     if n < 1:
         raise ValueError(f"chebyshev_primes needs a positive integer, got {n}")
-    table = bytearray([0, 0]) + bytearray([1]) * (n - 1)
-    for p in range(2, math.isqrt(n) + 1):
-        if table[p]:
-            table[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
     # strict bound n/2 < p done in integers as p >= n // 2 + 1
-    return [p for p in range(n // 2 + 1, n + 1) if table[p]]
+    return [p for p in range(n // 2 + 1, n + 1) if factorize(p) == {p: 1}]

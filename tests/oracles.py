@@ -15,6 +15,11 @@ from itertools import combinations, permutations
 from math import comb, gcd, isqrt
 
 
+def labelled(faces) -> list[int]:
+    """Vertex masks of faces given as vertex labels, bit v for vertex v."""
+    return [sum(1 << v for v in set(face)) for face in faces]
+
+
 def primes_upto(limit: int) -> list[int]:
     return [
         p for p in range(2, limit + 1) if all(p % d for d in range(2, isqrt(p) + 1))

@@ -38,34 +38,37 @@ def has_face(c, face):
 
 
 OCTAHEDRON = SimplicialComplex(
-    [
-        (1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6),
-        (2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6),
-    ]
+    oracles.labelled(
+        [
+            (1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6),
+            (2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6),
+        ]
+    )
 )
 
 
 def test_construction_reduces_to_facets():
-    c = SimplicialComplex([(1, 2), (2,), (1, 2), (3,), ()])
+    c = SimplicialComplex(oracles.labelled([(1, 2), (2,), (1, 2), (3,), ()]))
     assert c.facets == (mask(1, 2), mask(3))
     assert c.vertices == (1, 2, 3)
     assert c.dim == 1
     assert has_face(c, (1,)) and has_face(c, (1, 2)) and not has_face(c, (1, 3))
     assert has_face(c, ())
-    assert SimplicialComplex([(0, 2), (0,)]).facets == (mask(0, 2),)
+    assert SimplicialComplex(oracles.labelled([(0, 2), (0,)])).facets == (mask(0, 2),)
 
 
-@pytest.mark.parametrize("label", [-1, "a", 1.0, True, False, None])
-def test_vertex_labels_must_be_non_negative_ints(label):
-    with pytest.raises(ValueError, match=re.escape(f"vertex label {label!r} is not")):
-        SimplicialComplex([(1, label)])
+@pytest.mark.parametrize("face", [True, False, 1.0, "3", None, (1, 2)])
+def test_masks_must_be_ints(face):
+    # checked before the masks are hashed, so True is not taken for the mask 1
+    with pytest.raises(ValueError, match=re.escape(f"face mask {face!r} is not an int")):
+        SimplicialComplex([mask(1, 2), face])
 
 
 @pytest.mark.parametrize("negative", [-1, -3, -(1 << 70)])
 def test_negative_masks_are_rejected(negative):
     # a negative int has infinitely many set bits: bits() would never end on it
     with pytest.raises(ValueError, match=f"mask {negative} is negative"):
-        SimplicialComplex.from_masks([mask(1, 2), negative])
+        SimplicialComplex([mask(1, 2), negative])
     with pytest.raises(ValueError, match=f"mask {negative} is negative"):
         bits(negative)
 
@@ -79,31 +82,25 @@ def test_void_complex():
 
 
 def test_equality_and_repr():
-    a = SimplicialComplex([(1, 2), (3,)])
-    b = SimplicialComplex([(3,), (2, 1)])
+    a = SimplicialComplex(oracles.labelled([(1, 2), (3,)]))
+    b = SimplicialComplex(oracles.labelled([(3,), (2, 1)]))
     assert a == b
     assert hash(a) == hash(b)
-    assert a != SimplicialComplex([(1, 2)])
+    assert a != SimplicialComplex(oracles.labelled([(1, 2)]))
     assert repr(a) == "SimplicialComplex([{1,2}, {3}])"
 
 
 @settings(deadline=None, max_examples=80)
-@given(
-    st.lists(
-        st.frozensets(st.integers(min_value=1, max_value=7), min_size=0, max_size=4),
-        min_size=0,
-        max_size=8,
-    )
-)
-def test_facets_form_an_antichain(faces):
-    c = SimplicialComplex(faces)
+@given(st.lists(st.integers(min_value=0, max_value=0xFF), min_size=0, max_size=8))
+def test_facets_form_an_antichain(masks):
+    c = SimplicialComplex(masks)
     assert list(c.facets) == sorted(set(c.facets))
     for f in c.facets:
         assert not any(f != g and f & ~g == 0 for g in c.facets)
         assert has_face(c, bits(f))
-    for f in faces:
+    for f in masks:
         if f:
-            assert has_face(c, f)
+            assert has_face(c, bits(f))
 
 
 def test_nerve_examples():
@@ -159,12 +156,12 @@ def test_face_complex_checks_the_guard_for_coprime_free():
 
 
 def test_clique_complex():
-    c = SimplicialComplex.from_masks(maximal_cliques([1, 2, 3, 4], lambda u, v: u + v != 5))
+    c = SimplicialComplex(maximal_cliques([1, 2, 3, 4], lambda u, v: u + v != 5))
     # edges 12,13,24,34 missing 14 and 23: two triangles would need those
     assert c.facets == (mask(1, 2), mask(1, 3), mask(2, 4), mask(3, 4))
-    d = SimplicialComplex.from_masks(maximal_cliques([1, 2, 3], lambda u, v: True))
+    d = SimplicialComplex(maximal_cliques([1, 2, 3], lambda u, v: True))
     assert d.facets == (mask(1, 2, 3),)
-    e = SimplicialComplex.from_masks(maximal_cliques([1, 2], lambda u, v: False))
+    e = SimplicialComplex(maximal_cliques([1, 2], lambda u, v: False))
     assert e.facets == (mask(1), mask(2))
 
 
@@ -184,12 +181,13 @@ def test_strong_collapse_octahedron_is_minimal():
 def test_strong_collapse_cone_to_point():
     # the apex 9 dominates everything; the deterministic larger-label rule
     # then leaves the smallest remaining vertex standing
-    cone = SimplicialComplex([(1, 2, 9), (2, 3, 9), (3, 1, 9)])
-    assert strong_collapse(cone) == SimplicialComplex([(2,)])
+    cone = SimplicialComplex(oracles.labelled([(1, 2, 9), (2, 3, 9), (3, 1, 9)]))
+    assert strong_collapse(cone) == SimplicialComplex(oracles.labelled([(2,)]))
 
 
 def test_strong_collapse_mutual_domination_removes_larger():
-    assert strong_collapse(SimplicialComplex([(1, 2)])) == SimplicialComplex([(1,)])
+    edge = SimplicialComplex(oracles.labelled([(1, 2)]))
+    assert strong_collapse(edge) == SimplicialComplex(oracles.labelled([(1,)]))
 
 
 def test_strong_collapse_coprime_free_12():
@@ -208,8 +206,8 @@ def test_strong_collapse_idempotent_and_homology_preserving():
 
 
 def test_coprime_free_collapsed_small():
-    assert coprime_free_collapsed(1) == SimplicialComplex([(1,)])
-    assert coprime_free_collapsed(2) == SimplicialComplex([(1,), (2,)])
+    assert coprime_free_collapsed(1) == SimplicialComplex(oracles.labelled([(1,)]))
+    assert coprime_free_collapsed(2) == SimplicialComplex(oracles.labelled([(1,), (2,)]))
     c10 = coprime_free_collapsed(10)
     assert c10.facets == (mask(1), mask(7), mask(6, 10))
     with pytest.raises(ValueError):
@@ -255,7 +253,7 @@ def test_strong_collapse_of_reduced_model_h2_first_at_143():
     # the 8 facets of two or more vertices, opposite vertices sharing no prime
     antipodes = {42: 1, 143: 2, 66: 3, 91: 4, 77: 5, 78: 6}
     solid = [[antipodes[v] for v in bits(f)] for f in c.facets if f & f - 1]
-    assert SimplicialComplex(solid) == OCTAHEDRON
+    assert SimplicialComplex(oracles.labelled(solid)) == OCTAHEDRON
 
 
 def test_coprime_free_collapsed_matches_face_complex_homology():
@@ -279,16 +277,17 @@ def test_faces_by_dimension():
 def test_faces_by_dimension_guard(monkeypatch):
     # with the guard at 2^3, at most 8 distinct faces are listed in one dimension
     monkeypatch.setattr(complexes, "ENUMERATION_GUARD", 3)
-    edges = [(2 * i, 2 * i + 1) for i in range(5)]
+    edges = oracles.labelled((2 * i, 2 * i + 1) for i in range(5))
     assert [len(level) for level in faces_by_dimension(SimplicialComplex(edges[:4]), 1)] == [8, 4]
     # ten vertices, two at a time: only the running union passes the limit
     with pytest.raises(EnumerationGuardError, match="dimension 0 "):
         faces_by_dimension(SimplicialComplex(edges), 1)
     # one facet with C(5, 2) = 10 edges is refused before any face is listed
-    assert [len(level) for level in faces_by_dimension(SimplicialComplex([range(4)]), 3)] == [4, 6, 4, 1]
+    tetra, simplex4 = (SimplicialComplex(oracles.labelled([range(k)])) for k in (4, 5))
+    assert [len(level) for level in faces_by_dimension(tetra, 3)] == [4, 6, 4, 1]
     with pytest.raises(EnumerationGuardError, match="dimension 1 "):
-        faces_by_dimension(SimplicialComplex([range(5)]), 1)
-    assert len(faces_by_dimension(SimplicialComplex([range(5)]), 0)[0]) == 5
+        faces_by_dimension(simplex4, 1)
+    assert len(faces_by_dimension(simplex4, 0)[0]) == 5
 
 
 @settings(deadline=None, max_examples=60)
@@ -300,7 +299,7 @@ def test_faces_by_dimension_guard(monkeypatch):
     )
 )
 def test_faces_by_dimension_counts(faces):
-    c = SimplicialComplex(faces)
+    c = SimplicialComplex(oracles.labelled(faces))
     levels = faces_by_dimension(c, 4)
     for d, level in enumerate(levels):
         direct = set()
@@ -311,12 +310,13 @@ def test_faces_by_dimension_counts(faces):
 
 def test_facet_nerve_small_models():
     assert nerve(SimplicialComplex([]).facets) == SimplicialComplex([])
-    assert nerve(SimplicialComplex([(1, 2, 3)]).facets) == SimplicialComplex([(0,)])
-    two = nerve(SimplicialComplex([(1, 2), (3, 4)]).facets)
-    assert two == SimplicialComplex([(0,), (1,)])
+    triangle = SimplicialComplex(oracles.labelled([(1, 2, 3)]))
+    assert nerve(triangle.facets) == SimplicialComplex(oracles.labelled([(0,)]))
+    two = nerve(SimplicialComplex(oracles.labelled([(1, 2), (3, 4)])).facets)
+    assert two == SimplicialComplex(oracles.labelled([(0,), (1,)]))
     # vertices are indices into the sorted facet list
-    c = SimplicialComplex([(1, 2), (2, 3), (3, 4)])
-    assert nerve(c.facets) == SimplicialComplex([(0, 1), (1, 2)])
+    c = SimplicialComplex(oracles.labelled([(1, 2), (2, 3), (3, 4)]))
+    assert nerve(c.facets) == SimplicialComplex(oracles.labelled([(0, 1), (1, 2)]))
 
 
 def test_facet_nerve_preserves_homology():
@@ -333,10 +333,12 @@ def test_facet_nerve_preserves_homology():
 
 def test_facet_nerve_preserves_torsion():
     rp2 = SimplicialComplex(
-        [
-            (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-            (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-        ]
+        oracles.labelled(
+            [
+                (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+                (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+            ]
+        )
     )
     groups = reduced_homology(strong_collapse(nerve(rp2.facets)), 2)
     assert [(g.rank, g.torsion) for g in groups] == [(0, ()), (0, (2,)), (0, ())]

@@ -49,6 +49,24 @@ def mask_of(elements) -> int:
 # --- kinds and subsets --------------------------------------------------------
 
 
+def test_family_names_are_the_rule_table():
+    # the CLI's --family choices and help text read this tuple
+    assert families.FAMILY_NAMES == (
+        "coprime", "coprimefree", "distinctpairproducts", "divisibilitychain",
+        "nodivisorofpairproduct", "primitive", "productfree", "smultiple",
+    )
+    for name in families.FAMILY_NAMES:
+        if name == "smultiple":
+            assert FamilyKind(name, 2).name == name
+            with pytest.raises(ValueError, match="--s"):
+                FamilyKind(name)
+        else:
+            assert FamilyKind(name).name == name
+    for name in ("", "Primitive", "coprime ", "smultiples", "pairwisecoprime"):
+        with pytest.raises(ValueError, match="unknown family name"):
+            FamilyKind(name)
+
+
 def test_family_kind_validation():
     with pytest.raises(ValueError):
         FamilyKind("nonsense")

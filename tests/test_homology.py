@@ -22,19 +22,23 @@ import oracles
 from test_families import ALL_KINDS
 
 OCTAHEDRON = SimplicialComplex(
-    [
-        (1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6),
-        (2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6),
-    ]
+    oracles.labelled(
+        [
+            (1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6),
+            (2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6),
+        ]
+    )
 )
 
 # six-vertex triangulation of the real projective plane: every edge lies in
 # exactly two of the ten triangles
 RP2 = SimplicialComplex(
-    [
-        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-    ]
+    oracles.labelled(
+        [
+            (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+            (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+        ]
+    )
 )
 
 # up to six faces on the vertices 1..6, the complexes the random properties draw;
@@ -75,7 +79,7 @@ def mat_mul(a, b):
 
 
 def test_boundary_edge_orientation():
-    c = SimplicialComplex([(3, 7)])
+    c = SimplicialComplex(oracles.labelled([(3, 7)]))
     bm = rows, cols, _ = boundary(c, 1)
     assert rows == (1 << 3, 1 << 7)
     assert cols == (1 << 3 | 1 << 7,)
@@ -84,7 +88,7 @@ def test_boundary_edge_orientation():
 
 
 def test_boundary_dim_zero_is_augmentation():
-    c = SimplicialComplex([(1,), (5,)])
+    c = SimplicialComplex(oracles.labelled([(1,), (5,)]))
     bm = rows, _, _ = boundary(c, 0)
     assert rows == (0,)
     assert oracles.to_dense(bm) == [[1, 1]]
@@ -153,13 +157,13 @@ def test_smith_rank_matches_rational_rank(nrows, ncols, data):
 
 
 def test_reduced_homology_examples():
-    two_points = SimplicialComplex([(1,), (2,)])
+    two_points = SimplicialComplex(oracles.labelled([(1,), (2,)]))
     assert reduced_homology(two_points, 2) == [
         HomologyGroup(1), HomologyGroup(0), HomologyGroup(0),
     ]
-    point = SimplicialComplex([(1,)])
+    point = SimplicialComplex(oracles.labelled([(1,)]))
     assert reduced_homology(point, 1) == [HomologyGroup(0), HomologyGroup(0)]
-    simplex = SimplicialComplex([(1, 2, 3, 4)])
+    simplex = SimplicialComplex(oracles.labelled([(1, 2, 3, 4)]))
     assert reduced_homology(simplex, 3) == [HomologyGroup(0)] * 4
     assert reduced_homology(OCTAHEDRON, 2) == [
         HomologyGroup(0), HomologyGroup(0), HomologyGroup(1),
@@ -170,11 +174,9 @@ def test_reduced_homology_examples():
 
 
 def test_reduced_homology_circle_and_sphere_boundaries():
-    circle = SimplicialComplex([(1, 2), (2, 3), (1, 3)])
+    circle = SimplicialComplex(oracles.labelled([(1, 2), (2, 3), (1, 3)]))
     assert reduced_homology(circle, 1) == [HomologyGroup(0), HomologyGroup(1)]
-    sphere = SimplicialComplex(
-        [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-    )
+    sphere = SimplicialComplex(oracles.labelled([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]))
     assert reduced_homology(sphere, 2) == [
         HomologyGroup(0), HomologyGroup(0), HomologyGroup(1),
     ]
@@ -204,7 +206,7 @@ def test_collapsed_homology_prop7_sample():
 
 def test_betti_zero_fast():
     assert reduced_homology(coprime_free_collapsed(10), 0)[0].rank == 2
-    assert reduced_homology(SimplicialComplex([(1, 2, 3)]), 0)[0].rank == 0
+    assert reduced_homology(SimplicialComplex(oracles.labelled([(1, 2, 3)])), 0)[0].rank == 0
     assert reduced_homology(face_complex(COPRIME_FREE, 3), 0)[0].rank == 2
     assert reduced_homology(SimplicialComplex([]), 0)[0].rank == 0
 
@@ -220,7 +222,7 @@ def test_octahedron_euler_arithmetic():
 @settings(deadline=None, max_examples=40)
 @given(RANDOM_FACES)
 def test_random_complex_consistency(faces):
-    c = SimplicialComplex(faces)
+    c = SimplicialComplex(oracles.labelled(faces))
     d = max(c.dim, 0)
     maps = [boundary(c, k) for k in range(d + 2)]
     dense = [oracles.to_dense(m) for m in maps]
@@ -254,16 +256,16 @@ def test_family_complex_ranks_match_rational_ranks(kind):
 def test_isolated_vertices_change_only_h0(faces, new):
     # the premise of scan-h2 reusing a row's H~2 when the next model only adds
     # isolated vertices; RP2 brings torsion into the comparison
-    c = SimplicialComplex(faces)
+    c = SimplicialComplex(oracles.labelled(faces))
     d = c.dim + 1
     base = reduced_homology(c, d)
-    plus = reduced_homology(SimplicialComplex([*faces, *([v] for v in new)]), d)
+    plus = reduced_homology(SimplicialComplex(oracles.labelled([*faces, *([v] for v in new)])), d)
     assert plus[0] == HomologyGroup(base[0].rank + len(new))
     assert plus[1:] == base[1:]
 
 
 def relabel(c, labels):
-    return SimplicialComplex([[labels[v] for v in bits(f)] for f in c.facets])
+    return SimplicialComplex(oracles.labelled([labels[v] for v in bits(f)] for f in c.facets))
 
 
 # an injective relabelling of the vertices 1..6, vertex 0 allowed; it changes
@@ -274,7 +276,7 @@ LABELS = st.lists(st.integers(min_value=0, max_value=40), min_size=7, max_size=7
 @settings(deadline=None, max_examples=60)
 @given(RANDOM_FACES, LABELS)
 def test_homology_invariant_under_relabelling(faces, labels):
-    c = SimplicialComplex(faces)
+    c = SimplicialComplex(oracles.labelled(faces))
     d = max(c.dim, 0)
     assert reduced_homology(relabel(c, labels), d) == reduced_homology(c, d)
 
@@ -303,7 +305,7 @@ def rp2_with_random_complex(draw):
 @settings(deadline=None, max_examples=40)
 @given(rp2_with_random_complex(), st.permutations(range(41)))
 def test_random_complexes_with_torsion(faces, labels):
-    c = SimplicialComplex(faces)
+    c = SimplicialComplex(oracles.labelled(faces))
     d = c.dim
     groups = reduced_homology(c, d)
     assert [g.torsion for g in groups] == [(), (2,), *[()] * (d - 1)]
@@ -339,7 +341,7 @@ def assert_pivot_order(cols, prune_every_pivot=False):
 @given(RANDOM_FACES, rp2_with_random_complex())
 def test_pivot_order_on_boundaries(prune_every_pivot, faces, with_rp2):
     # with_rp2's d_2 has a non-unit pivot, as its H~1 = Z/2 needs
-    for c in (SimplicialComplex(faces), SimplicialComplex(with_rp2)):
+    for c in (SimplicialComplex(oracles.labelled(f)) for f in (faces, with_rp2)):
         for d in range(c.dim + 2):
             assert_pivot_order(boundary(c, d)[2], prune_every_pivot)
 

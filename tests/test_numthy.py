@@ -22,7 +22,8 @@ def test_is_squarefree_exhaustive():
 
 
 def test_sieve_matches_trial_division():
-    # chebyshev_primes sieves 0..n; a square n (4, 9, 25, ...) ends its own sieve
+    # chebyshev_primes reads factorize on (n/2, n]; the bound's ends are checked
+    # at every n, odd and even
     primes = oracles.primes_upto(2000)
     for n in range(1, 2001):
         assert numthy.chebyshev_primes(n) == [p for p in primes if p <= n < 2 * p], n
