@@ -20,7 +20,12 @@ def maximal_cliques(vertices: Iterable[int], adjacent: Callable[[int, int], bool
     """All inclusion-maximal cliques, as ascending vertex masks (bit v for vertex
     v), of the graph on the non-negative int vertices whose edges are the pairs
     u < v with adjacent(u, v); the predicate is asked once per pair. Isolated
-    vertices come out as singleton cliques."""
+    vertices come out as singleton cliques. A bool, a non-int or a negative vertex
+    label raises ValueError."""
+    vertices = list(vertices)
+    # checked before the set is taken, so True is not merged with the vertex 1
+    if bad := [v for v in vertices if isinstance(v, bool) or not isinstance(v, int) or v < 0]:
+        raise ValueError(f"vertex label {bad[0]!r} is not a non-negative int")
     vs = sorted(set(vertices))
     neighbors = dict.fromkeys(vs, 0)
     for i, u in enumerate(vs):

@@ -64,6 +64,13 @@ def test_masks_must_be_ints(face):
         SimplicialComplex([mask(1, 2), face])
 
 
+@pytest.mark.parametrize("label", [-1, "a", 1.0, True, False, None])
+def test_vertex_labels_must_be_non_negative_ints(label):
+    # maximal_cliques is the one public function that takes vertices by label
+    with pytest.raises(ValueError, match=re.escape(f"vertex label {label!r} is not")):
+        maximal_cliques([1, label], lambda u, v: True)
+
+
 @pytest.mark.parametrize("negative", [-1, -3, -(1 << 70)])
 def test_negative_masks_are_rejected(negative):
     # a negative int has infinitely many set bits: bits() would never end on it
