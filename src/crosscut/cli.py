@@ -3,13 +3,15 @@ reports, the collapsed-complex H~2 scan, maximal-set listings, and OEIS b-file
 comparison.
 
 Exit codes: 0 success, 1 a checked verdict failed, 2 usage, guard, or parse
-error. Output is byte-identical across runs with the same arguments.
+error; a reader closing stdout early is not an error. Output is byte-identical
+across runs with the same arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -22,7 +24,6 @@ from .complexes import coprime_free_collapsed, face_complex, strong_collapse
 from .families import (
     ENUMERATION_GUARD,
     FAMILY_NAMES,
-    EnumerationGuardError,
     FamilyKind,
     Partition,
     kind_from_name,
@@ -31,12 +32,6 @@ from .homology import reduced_homology
 
 FORMATS = ("csv", "json", "tsv")
 SCAN_LIMIT = 200
-
-# families whose alternating sum has a stated constant, versus those whose
-# stabilization threshold is only discovered empirically
-_EMPIRICAL = frozenset(
-    ["coprimefree", "distinctpairproducts", "nodivisorofpairproduct", "divisibilitychain"]
-)
 
 
 @dataclass
@@ -166,7 +161,7 @@ def cmd_altsum(
     comments: list[str] = []
     verdict: str | None = None
     code = 0
-    if kind.name in _EMPIRICAL:
+    if _alt_expected(kind, 2) is None:  # no stated constant: report stabilization
         tail_value = sums[-1]
         start = len(sums)
         while start > 0 and sums[start - 1] == tail_value:
@@ -363,45 +358,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common, family])
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=lambda a, kind, guard: cmd_table(kind, a.n, a.format, guard))
 
     p = sub.add_parser("altsum", parents=[common, family])
     p.add_argument("--n-from", type=int, required=True)
     p.add_argument("--n-to", type=int, required=True)
+    p.set_defaults(run=lambda a, kind, guard: cmd_altsum(kind, a.n_from, a.n_to, a.format, guard))
 
     p = sub.add_parser("homology", parents=[common, family])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmax", type=int, default=2)
     p.add_argument("--collapse", action=argparse.BooleanOptionalAction, default=True)
+    p.set_defaults(
+        run=lambda a, kind, guard: cmd_homology(kind, a.n, a.dmax, a.collapse, a.format, guard)
+    )
 
     p = sub.add_parser("scan-h2", parents=[common])
     p.add_argument("--n-from", type=int, default=1)
     p.add_argument("--n-to", type=int, required=True)
+    p.set_defaults(run=lambda a, kind, guard: cmd_scan_h2(a.n_from, a.n_to, a.format))
 
     p = sub.add_parser("maximal", parents=[common, family])
     p.add_argument("--n", type=int, required=True)
+    p.set_defaults(run=lambda a, kind, guard: cmd_maximal(kind, a.n, a.format, guard))
 
     p = sub.add_parser("oeis-compare", parents=[common, family])
     p.add_argument("--bfile", required=True)
+    p.set_defaults(run=lambda a, kind, guard: cmd_oeis_compare(kind, a.bfile, a.format, guard))
 
     return parser
-
-
-def _dispatch(args: argparse.Namespace, guard: int) -> tuple[int, str]:
-    fmt = args.format
-    if args.command == "scan-h2":
-        return cmd_scan_h2(args.n_from, args.n_to, fmt)
-    kind = kind_from_name(args.family, args.s)
-    if args.command == "table":
-        return cmd_table(kind, args.n, fmt, guard)
-    if args.command == "altsum":
-        return cmd_altsum(kind, args.n_from, args.n_to, fmt, guard)
-    if args.command == "homology":
-        return cmd_homology(kind, args.n, args.dmax, args.collapse, fmt, guard)
-    if args.command == "maximal":
-        return cmd_maximal(kind, args.n, fmt, guard)
-    if args.command == "oeis-compare":
-        return cmd_oeis_compare(kind, args.bfile, fmt, guard)
-    raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
@@ -418,12 +403,16 @@ def main(argv=None) -> int:
         moved = "raised" if guard >= ENUMERATION_GUARD else "lowered"
         print(f"warning: enumeration guard {moved} to 2^{guard}", file=sys.stderr)
     try:
-        code, text = _dispatch(args, guard)
+        kind = kind_from_name(args.family, args.s) if "family" in args else None
+        code, text = args.run(args, kind, guard)
         if args.out:
             Path(args.out).write_text(text + "\n")
         else:
-            print(text)
-    except (EnumerationGuardError, BFileParseError, OSError, ValueError) as exc:
+            print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early; send the unflushed rest to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -129,16 +129,17 @@ def faces_by_dimension(c: SimplicialComplex, d_max: int) -> list[list[int]]:
     if d_max < 0:
         raise ValueError(f"need d_max >= 0, got {d_max}")
     limit = 1 << ENUMERATION_GUARD
-    for d in range(d_max + 1):
+    top = min(d_max, c.dim)  # the levels above top are empty
+    for d in range(top + 1):
         if comb(c.dim + 1, d + 1) > limit:
             raise EnumerationGuardError(f"dimension {d} has over 2^{ENUMERATION_GUARD} faces")
     vertex_bits = [[1 << v for v in bits(f)] for f in c.facets]
-    levels = []
-    for d in range(d_max + 1):
+    levels: list[list[int]] = [[] for _ in range(d_max + 1)]
+    for d in range(top + 1):
         level: set[int] = set()
         for vs in vertex_bits:
             level.update(map(sum, combinations(vs, d + 1)))
             if len(level) > limit:
                 raise EnumerationGuardError(f"dimension {d} has over 2^{ENUMERATION_GUARD} faces")
-        levels.append(sorted(level))
+        levels[d] = sorted(level)
     return levels

@@ -278,34 +278,23 @@ class CountTriangle:
 
 
 # A prime p with n/2 < p <= n divides no other element of [n], and p*a > n for
-# every a >= 2. In these families no such prime takes part in a violation, so a
-# member plus any set of them is a member:
-_FREE_PRIME_FAMILIES = frozenset(
-    [
-        "coprime",  # gcd(p, y) = 1 for every other y
-        "productfree",  # p is no product a*b of elements >= 2, and 1 is never admitted
-        "distinctpairproducts",  # p*a = c*d forces p in {c, d}, so the pairs are equal
-    ]
-)
-# In these such a prime takes part in a violation only together with 1, so a
-# member without 1 plus any set of them is a member:
-_FREE_WITHOUT_ONE_FAMILIES = frozenset(
-    [
-        "primitive",  # 1 and p are p's only divisors, and p has no other multiple
-        "smultiple",  # p is its own only multiple, and adds one to 1's count
-        "nodivisorofpairproduct",  # i | p*k for i not in {p, k} means i | k, so i | k*k
-    ]
-)
-
-
-def _free_primes(kind: FamilyKind, n: int) -> list[int]:
-    return numthy.chebyshev_primes(n) if kind.name in _FREE_PRIME_FAMILIES else []
+# every a >= 2. Each family here maps to what such a prime can meet in a
+# violation: 0 for none, so a member plus any set of them is a member, and _ONE
+# for 1 alone, so a member without 1 plus any set of them is a member.
+_FREE_PRIME_MEETS = {
+    "coprime": 0,  # gcd(p, y) = 1 for every other y
+    "productfree": 0,  # p is no product a*b of elements >= 2, and 1 is never admitted
+    "distinctpairproducts": 0,  # p*a = c*d forces p in {c, d}, so the pairs are equal
+    "primitive": _ONE,  # 1 and p are p's only divisors, and p has no other multiple
+    "smultiple": _ONE,  # p is its own only multiple, and adds one to 1's count
+    "nodivisorofpairproduct": _ONE,  # i | p*k for i not in {p, k} means i | k, so i | k*k
+}
 
 
 def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD) -> CountTriangle:
     """The full (n,k) triangle for 1 <= n <= n_max by exhaustive member enumeration.
 
-    One DFS pass skips the free primes of _FREE_PRIME_FAMILIES and aggregates
+    One DFS pass skips the primes that _FREE_PRIME_MEETS maps to 0 and aggregates
     members by (max element, cardinality). Row n is the cumulative sum over max
     <= n times (1 + x)^c: each member takes any subset of the c free primes <= n.
     """
@@ -316,7 +305,7 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
     def visit(mask, x, k):
         by_max[x][k] += 1
 
-    free = _free_primes(kind, n_max)
+    free = numthy.chebyshev_primes(n_max) if _FREE_PRIME_MEETS.get(kind.name) == 0 else []
     _walk(kind, n_max, visit, _mask(free))
 
     rows = []
@@ -357,8 +346,8 @@ def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) ->
     _check_size(n)
     if kind == COPRIME_FREE:
         return maximal_cliques(range(1, n + 1), lambda u, v: math.gcd(u, v) > 1)
-    one = _ONE if kind.name in _FREE_WITHOUT_ONE_FAMILIES else 0  # split off 1 there
-    free = _mask(numthy.chebyshev_primes(n)) if one or kind.name in _FREE_PRIME_FAMILIES else 0
+    one = _FREE_PRIME_MEETS.get(kind.name, 0)  # split off 1 where the primes meet it
+    free = _mask(numthy.chebyshev_primes(n)) if kind.name in _FREE_PRIME_MEETS else 0
     masks = [m | free for m in _maximal_masks(members(kind, n, guard, free | one), n)]
     if one:
         _walk(kind, n, lambda mask, x, k: masks.append(mask), with_one=True)

@@ -148,16 +148,16 @@ def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:
     complex with no facets, reads 0 everywhere though its H~_{-1} is Z."""
     if d_max < 0:
         raise ValueError(f"need d_max >= 0, got {d_max}")
-    levels = [[0], *faces_by_dimension(c, d_max + 1)]  # levels[d + 1] holds the d-faces
+    top = min(d_max, c.dim)  # the rows above have no faces: 0, with no elimination
+    levels = [[0], *faces_by_dimension(c, top + 1)]  # levels[d + 1] holds the d-faces
     ranks: list[int] = []
     chains: list[tuple[int, ...]] = []
-    for d in range(d_max + 2):
+    for d in range(top + 2):
         pivots = _pivot_values(_boundary(levels[d], levels[d + 1]))
         ranks.append(len(pivots))
         chains.append(_divisibility_chain(pivots))
-    out = []
-    for d in range(d_max + 1):
+    out = [HomologyGroup(0)] * (d_max + 1)
+    for d in range(top + 1):
         rank = len(levels[d + 1]) - ranks[d] - ranks[d + 1]
-        torsion = tuple(v for v in chains[d + 1] if v > 1)
-        out.append(HomologyGroup(rank, torsion))
+        out[d] = HomologyGroup(rank, tuple(v for v in chains[d + 1] if v > 1))
     return out

@@ -2,6 +2,9 @@ import doctest
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,27 @@ def test_altsum_empirical_no_tail():
     assert code == 0
     assert "# no stable tail in range" in text.splitlines()
     assert text.splitlines()[1].endswith(",observed")
+
+
+# the families with no stated alternating-sum constant, whose altsum rows report
+# an empirical stabilization instead of a verdict
+EMPIRICAL = ("coprimefree", "distinctpairproducts", "nodivisorofpairproduct", "divisibilitychain")
+ALTSUM_KINDS = [kind_from_name(name) for name in families.FAMILY_NAMES if name != "smultiple"]
+ALTSUM_KINDS += [kind_from_name("smultiple", s) for s in (2, 3)]
+
+
+@pytest.mark.parametrize("kind", ALTSUM_KINDS, ids=lambda k: k.label())
+def test_altsum_is_empirical_exactly_without_a_constant(kind):
+    code, text = cmd_altsum(kind, 1, 8)
+    assert code == 0
+    lines = text.splitlines()
+    statuses = {line.rsplit(",", 1)[1] for line in lines[1:] if not line.startswith("#")}
+    if kind.name in EMPIRICAL:
+        assert statuses <= {"stable", "pre-threshold", "observed"}
+        assert not any(line.startswith("# verdict") for line in lines)
+    else:
+        assert statuses <= {"pass", "n/a"}
+        assert lines[-1] == "# verdict: pass"
 
 
 def test_homology_collapsed_coprimefree():
@@ -307,6 +331,49 @@ def test_main_prints_and_exits_zero(capsys):
     assert main(["table", "--family", "primitive", "--n", "5"]) == 0
     assert capsys.readouterr().out == first
     assert first.startswith("n,k,count\n")
+
+
+SMULTIPLE_2 = kind_from_name("smultiple", 2)
+BFILE = "data/oeis/b051026.txt"
+SUBCOMMANDS = [
+    ("table --family primitive --n 6", lambda: cmd_table(PRIMITIVE, 6)),
+    (
+        "altsum --family coprimefree --n-from 2 --n-to 9 --format json",
+        lambda: cmd_altsum(kind_from_name("coprimefree"), 2, 9, "json"),
+    ),
+    (
+        "homology --family smultiple --s 2 --n 7 --dmax 3 --no-collapse",
+        lambda: cmd_homology(SMULTIPLE_2, 7, 3, False),
+    ),
+    ("scan-h2 --n-from 3 --n-to 12 --format tsv", lambda: cmd_scan_h2(3, 12, "tsv")),
+    ("maximal --family productfree --n 10", lambda: cmd_maximal(families.PRODUCT_FREE, 10)),
+    (
+        f"oeis-compare --family primitive --bfile {BFILE} --guard-override 12",
+        lambda: cmd_oeis_compare(PRIMITIVE, BFILE, guard=12),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, call", SUBCOMMANDS, ids=[a.split()[0] for a, _ in SUBCOMMANDS])
+def test_main_runs_each_subcommand(argv, call, monkeypatch, capsys):
+    # the parser names each command's function, and main prints exactly its text
+    monkeypatch.chdir(ROOT)  # the b-file path is relative to the repository root
+    code, text = call()
+    assert main(argv.split()) == code
+    assert capsys.readouterr().out == text + "\n"
+
+
+def test_main_closed_stdout_is_not_an_error():
+    # a reader that stops after one line closes the pipe mid-write; the listing
+    # (about 1 MB) outgrows the pipe buffer, so the write fails after the close.
+    # capsys has no real file descriptor, hence the subprocess.
+    args = [sys.executable, "-m", "crosscut.cli", *"maximal --family coprimefree --n 600".split()]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    with subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"index,size,elements\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=60) == 0
 
 
 def test_main_writes_out_file(tmp_path, capsys):

@@ -304,9 +304,9 @@ def _free_prime_additions(kind, n, avoid=0):
                 yield elems, extra, pred(elems + extra)
 
 
-FOLDED_KINDS = [k for k in ALL_KINDS if families._free_primes(k, 14)]
+FOLDED_KINDS = [k for k in ALL_KINDS if families._FREE_PRIME_MEETS.get(k.name) == 0]
 UNFOLDED_KINDS = [k for k in ALL_KINDS if k not in FOLDED_KINDS]
-SPLIT_KINDS = [k for k in ALL_KINDS if k.name in families._FREE_WITHOUT_ONE_FAMILIES]
+SPLIT_KINDS = [k for k in ALL_KINDS if families._FREE_PRIME_MEETS.get(k.name) == families._ONE]
 
 
 def test_folded_kinds():
@@ -318,7 +318,6 @@ def test_folded_kinds():
 def test_free_primes_sound(kind):
     # the fold is exact iff a member plus any set of the free primes is a member
     for n in range(2, 15):
-        assert families._free_primes(kind, n) == numthy.chebyshev_primes(n)
         for elems, extra, ok in _free_prime_additions(kind, n):
             assert ok, (n, elems, extra)
 

@@ -188,6 +188,15 @@ def test_projective_plane_torsion():
     ]
 
 
+@pytest.mark.parametrize("c", [SimplicialComplex([]), SimplicialComplex([2]), RP2])
+def test_reduced_homology_above_dim_is_zero_rows(c):
+    # rows above c.dim are padded, not eliminated, so a huge d_max costs nothing
+    short = reduced_homology(c, max(c.dim, 0))
+    for d_max in (c.dim + 1, c.dim + 5, 300_000):
+        assert reduced_homology(c, d_max) == short + [HomologyGroup(0)] * (d_max + 1 - len(short))
+    assert faces_by_dimension(c, 300_000)[c.dim + 1 :] == [[]] * (300_000 - c.dim)
+
+
 def test_smultiple_homology_small():
     c = face_complex(s_multiple(2), 5)
     groups = reduced_homology(c, 2)
