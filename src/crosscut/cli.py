@@ -14,9 +14,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from math import comb
 from pathlib import Path
+from typing import NamedTuple
 
 from . import families
 from .cliques import bits
@@ -34,15 +34,14 @@ FORMATS = ("csv", "json", "tsv")
 SCAN_LIMIT = 200
 
 
-@dataclass
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One command's deterministic output: a table plus trailing comment lines."""
 
     command: str
     parameters: tuple[tuple[str, str], ...]
     header: tuple[str, ...]
     rows: list[tuple]
-    comments: list[str] = field(default_factory=list)
+    comments: tuple[str, ...] | list[str] = ()
     verdict: str | None = None
     json_payload: dict | None = None
 
@@ -77,8 +76,7 @@ class BFileParseError(ValueError):
     """Raised on a malformed OEIS b-file."""
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     """Parsed b-file: sequence id plus (index, value) pairs, indices increasing."""
 
     id: str
@@ -211,6 +209,8 @@ def cmd_homology(
     coprime-free family uses the direct reduced model, past the guard to SCAN_LIMIT."""
     if d_max < 0:
         raise ValueError("need --dmax >= 0")
+    if d_max.bit_length() > guard:  # d_max + 1 > 2^guard rows, refused before any is built
+        raise families.EnumerationGuardError(f"--dmax {d_max} asks for {d_max + 1} rows, over 2^{guard}")
     if kind == families.COPRIME_FREE and collapse:
         if n > SCAN_LIMIT:
             raise ValueError(f"coprime-free homology limited to n <= {SCAN_LIMIT}")

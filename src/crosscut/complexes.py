@@ -3,7 +3,6 @@ collapse, and the reduced model of the pairwise-non-coprime complex."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb, gcd
@@ -30,17 +29,22 @@ def _maximal_faces(masks) -> tuple[int, ...]:
     return tuple(sorted(kept))
 
 
-@dataclass(init=False, repr=False, unsafe_hash=True)
 class SimplicialComplex:
     """Stored by its facets: vertex masks, bit v set for vertex v, ascending (colex
     order). Built from faces given as masks; construction drops empty and
     non-maximal faces. A bool, a non-int or a negative mask, which has no finite
-    vertex set, raises ValueError."""
+    vertex set, raises ValueError. Complexes compare and hash by their facets."""
 
-    facets: tuple[int, ...]
+    __slots__ = ("facets",)
 
     def __init__(self, masks):
-        self.facets = _maximal_faces(masks)
+        self.facets: tuple[int, ...] = _maximal_faces(masks)
+
+    def __eq__(self, other):
+        return self.facets == other.facets if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.facets)
 
     @property
     def vertices(self) -> tuple[int, ...]:

@@ -13,9 +13,9 @@ same mask as its face in the face complex. cliques.bits lists its elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import NamedTuple
 
 from . import numthy
 from .cliques import bits, maximal_cliques
@@ -27,21 +27,20 @@ class EnumerationGuardError(ValueError):
     """Raised when a request would enumerate past the 2^n guard."""
 
 
-@dataclass(frozen=True)
-class FamilyKind:
+class FamilyKind(NamedTuple("_Kind", [("name", str), ("s", "int | None")])):
     """Tag naming one family; s parametrizes the multiple bound and is None otherwise."""
 
-    name: str
-    s: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.name == "smultiple":
-            if type(self.s) is not int or self.s < 1:  # no bool, float or str
-                raise ValueError(f"family smultiple needs an int --s >= 1, got {self.s!r}")
-        elif self.name not in _RULES:
-            raise ValueError(f"unknown family name: {self.name!r}")
-        elif self.s is not None:
-            raise ValueError(f"family {self.name} takes no --s")
+    def __new__(cls, name: str, s: int | None = None):
+        if name == "smultiple":
+            if type(s) is not int or s < 1:  # no bool, float or str
+                raise ValueError(f"family smultiple needs an int --s >= 1, got {s!r}")
+        elif name not in _RULES:
+            raise ValueError(f"unknown family name: {name!r}")
+        elif s is not None:
+            raise ValueError(f"family {name} takes no --s")
+        return super().__new__(cls, name, s)
 
     def label(self) -> str:
         return f"smultiple(s={self.s})" if self.name == "smultiple" else self.name
@@ -103,12 +102,13 @@ def _rule_smultiple(kind: FamilyKind, universe):
     # Once a divisor a of x in the set has s multiples there, x forbids the rest.
     multiples = _relation(universe, lambda a, m: m % a == 0)
     divisors = cache(lambda x: [(1 << a, multiples(a)) for a in universe if x % a == 0])
+    s = kind.s
 
     def forbid(mask, x):
         grown = mask | 1 << x
         out = 0
         for bit, m in divisors(x):
-            if grown & bit and (grown & m).bit_count() == kind.s:
+            if grown & bit and (grown & m).bit_count() == s:
                 out |= m
         return out
 
@@ -251,8 +251,7 @@ def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD, avoid: int
     return masks
 
 
-@dataclass(frozen=True)
-class CountTriangle:
+class CountTriangle(NamedTuple):
     """Counts by cardinality: rows[n-1][k] members of size k within 2^[n]."""
 
     family: FamilyKind
@@ -355,8 +354,7 @@ def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) ->
     return masks
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Maximal members split into classes, each with nonempty total intersection."""
 
     classes: tuple[tuple[int, ...], ...]
@@ -367,8 +365,7 @@ class Partition:
         return len(self.classes)
 
 
-@dataclass(frozen=True)
-class FailureWitness:
+class FailureWitness(NamedTuple):
     """A connected component of maximal members whose total intersection is empty."""
 
     component: tuple[int, ...]

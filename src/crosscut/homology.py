@@ -8,15 +8,14 @@ trivial homology everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .cliques import bits
 from .complexes import SimplicialComplex, faces_by_dimension
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(NamedTuple):
     """One reduced homology group: free rank plus invariant factors > 1."""
 
     rank: int

@@ -431,6 +431,27 @@ def test_main_guard_error_and_override(capsys):
     assert "raised" not in captured.err
 
 
+def test_main_homology_dmax_is_guarded(capsys):
+    # d_max + 1 output rows may not pass 2^guard: a guard of 4 allows 16
+    args = ["homology", "--family", "primitive", "--n", "4", "--guard-override", "4"]
+    assert main([*args, "--dmax", "15"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "d,rank,torsion" and lines[16] == "15,0,-" and len(lines) == 18
+    assert main([*args, "--dmax", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --dmax 16 asks for 17 rows, over 2^4" in captured.err
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every command starts a fresh interpreter, so crosscut.cli's imports are
+    # paid on each run; dataclasses alone pulls in inspect, ast and tokenize
+    code = "import crosscut.cli, sys; print('dataclasses' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+
+
 def test_main_guard_override_below_one_exits_two(capsys):
     # a guard of 2^0 checks no row at all, so it must not print a passing verdict
     for value in ("0", "-1"):

@@ -93,7 +93,11 @@ def test_equality_and_repr():
     b = SimplicialComplex(oracles.labelled([(3,), (2, 1)]))
     assert a == b
     assert hash(a) == hash(b)
+    assert len({a, b}) == 1
     assert a != SimplicialComplex(oracles.labelled([(1, 2)]))
+    # only another complex compares equal, not its bare facets
+    assert a.__eq__(a.facets) is NotImplemented
+    assert a != a.facets
     assert repr(a) == "SimplicialComplex([{1,2}, {3}])"
 
 

@@ -67,6 +67,26 @@ def test_family_names_are_the_rule_table():
             FamilyKind(name)
 
 
+def test_value_types_are_immutable_named_tuples():
+    from crosscut.homology import HomologyGroup
+
+    kind = FamilyKind("smultiple", 2)
+    assert kind == s_multiple(2) and hash(kind) == hash(s_multiple(2))
+    assert kind == ("smultiple", 2)
+    tri = families.count_triangle(PRIMITIVE, 4)
+    outcome = families.partition_components(PRIMITIVE, 4)
+    assert isinstance(outcome, Partition)
+    for value, field in [
+        (kind, "s"), (HomologyGroup(1), "rank"), (tri, "rows"), (outcome, "classes")
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+    rank, torsion = HomologyGroup(0, (2,))
+    assert (rank, torsion) == (0, (2,))
+    # count is the triangle's own method, not tuple.count
+    assert tri.count(4, 2) == 2
+
+
 def test_family_kind_validation():
     with pytest.raises(ValueError):
         FamilyKind("nonsense")
