@@ -100,8 +100,13 @@ def _rule_productfree(kind: FamilyKind, universe):
 
 def _rule_smultiple(kind: FamilyKind, universe):
     # Once a divisor a of x in the set has s multiples there, x forbids the rest.
+    # Only bits above x are ever read, so a divisor with no multiple above x is left out.
     multiples = _relation(universe, lambda a, m: m % a == 0)
-    divisors = cache(lambda x: [(1 << a, multiples(a)) for a in universe if x % a == 0])
+    divisors = cache(
+        lambda x: [
+            (1 << a, multiples(a)) for a in universe if x % a == 0 and multiples(a) >> x + 1
+        ]
+    )
     s = kind.s
 
     def forbid(mask, x):

@@ -41,17 +41,18 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
     """Diagonalize {col: {row: value}} in place by integer row and column
     operations; returns the diagonal (not yet a divisibility chain).
 
-    Unit pivots pop off a LIFO of (col, row) pushes, one per write of +-1. A
-    push whose entry is not +-1 now can only pop as a no-op (a new write of +-1
-    there pushes above it), so once the stack outgrows _PRUNE_FACTOR times the
-    pushes that survived its last pruning plus _PRUNE_SLACK, it keeps only the
-    pushes still at +-1; every pivot, and so the fill-in, stays as it was."""
+    Unit pivots pop off a LIFO of pushes, one per write of +-1, each the col
+    and then the row as two entries of one flat list of ints. A push whose
+    entry is not +-1 now can only pop as a no-op (a new write of +-1 there
+    pushes above it), so once the stack outgrows _PRUNE_FACTOR times the pushes
+    that survived its last pruning plus _PRUNE_SLACK, it keeps only the pushes
+    still at +-1; every pivot, and so the fill-in, stays as it was."""
     rows: dict[int, set[int]] = {}
     for j, col in cols.items():
         for i in col:
             rows.setdefault(i, set()).add(j)
-    units: list[tuple[int, int]] = [
-        (j, i) for j, col in cols.items() for i, v in col.items() if v in (1, -1)
+    units: list[int] = [
+        x for j, col in cols.items() for i, v in col.items() if v in (1, -1) for x in (j, i)
     ]
 
     def col_axpy(dst: int, src: int, q: int) -> None:
@@ -64,22 +65,30 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
                     rows[i].add(dst)
                 target[i] = new
                 if new in (1, -1):
-                    units.append((dst, i))
+                    units.append(dst)
+                    units.append(i)
             elif i in target:
                 del target[i]
                 rows[i].discard(dst)
         if not target:
             del cols[dst]
 
-    limit = _PRUNE_FACTOR * len(units) + _PRUNE_SLACK
+    limit = _PRUNE_FACTOR * len(units) + 2 * _PRUNE_SLACK  # in entries, two per push
     pivots: list[int] = []
     while True:
         if len(units) > limit:
-            units[:] = [u for u in units if cols.get(u[0], _NONE).get(u[1]) in (1, -1)]
-            limit = _PRUNE_FACTOR * len(units) + _PRUNE_SLACK
+            pushes = iter(units)
+            units[:] = [
+                x
+                for j, i in zip(pushes, pushes)
+                if cols.get(j, _NONE).get(i) in (1, -1)
+                for x in (j, i)
+            ]
+            limit = _PRUNE_FACTOR * len(units) + 2 * _PRUNE_SLACK
         pj = pi = None
         while units:
-            j, i = units.pop()
+            i = units.pop()
+            j = units.pop()
             if cols.get(j, _NONE).get(i) in (1, -1):
                 pj, pi = j, i
                 break
@@ -113,7 +122,8 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
                     if new:
                         col[i] = new
                         if new in (1, -1):
-                            units.append((pj, i))
+                            units.append(pj)
+                            units.append(i)
                     else:
                         del col[i]
                         rows[i].discard(pj)

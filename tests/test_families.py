@@ -248,6 +248,20 @@ def test_count_triangle_matches_oracle(kind):
         assert tri.rows[n - 1] == want
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_smultiple_count_triangle_matches_oracle_to_14(s):
+    # the s-multiple rule keeps only the divisors a of x with a multiple above x,
+    # the least being x + a; past n = 10 several such a are in play at once. One
+    # pass over 2^[14] gives every row, as a member within 2^[n] has no element above n.
+    pred = oracles.oracle_predicate("smultiple", s)
+    rows = [[0] * (n + 1) for n in range(1, 15)]
+    for mask in range(1 << 14):
+        if pred(oracles.mask_elements(14, mask)):
+            for n in range(max(mask.bit_length(), 1), 15):
+                rows[n - 1][mask.bit_count()] += 1
+    assert families.count_triangle(s_multiple(s), 14).rows == tuple(map(tuple, rows))
+
+
 @pytest.mark.parametrize(
     ("kind", "table"),
     [
