@@ -34,18 +34,17 @@ def maximal_cliques(vertices: Iterable[int], adjacent: Callable[[int, int], bool
                 neighbors[u] |= 1 << v
                 neighbors[v] |= 1 << u
     found: list[int] = []
-
-    def bk(r: int, p: int, x: int) -> None:
+    # Bron-Kerbosch on a stack of (r, p, x), as its depth (a clique's size) is unbounded
+    stack = [(0, sum(1 << v for v in vs), 0)] if vs else []
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             found.append(r)
-            return
+            continue
         # pivot with the most candidates in p; ties go to the smallest label
         pivot = max(bits(p | x), key=lambda u: (p & neighbors[u]).bit_count())
         for v in bits(p & ~neighbors[pivot]):
-            bk(r | 1 << v, p & neighbors[v], x & neighbors[v])
+            stack.append((r | 1 << v, p & neighbors[v], x & neighbors[v]))
             p &= ~(1 << v)
             x |= 1 << v
-
-    if vs:
-        bk(0, sum(1 << v for v in vs), 0)
     return sorted(found)

@@ -213,28 +213,34 @@ def is_member(kind: FamilyKind, subset: int) -> bool:
     return True
 
 
-def _walk(kind: FamilyKind, n: int, visit, avoid: int = 0, with_one: bool = False) -> None:
-    """Call visit(mask, largest element, size) on every nonempty member that
-    avoids the elements in the mask `avoid`, depth first; with_one keeps to the
-    members that hold 1. Every candidate still allowed extends the member, so a
-    node's last candidate is a leaf, visited without calling the rule."""
+def _walk(
+    kind: FamilyKind, n: int, masks: list[int] | None = None, avoid: int = 0, with_one: bool = False
+) -> list[list[int]]:
+    """Count each nonempty member avoiding the mask `avoid` in the returned by_max[x][k]
+    (x its largest element, k its size), and append its mask to `masks` if given; depth
+    first, with_one keeps to the members holding 1. Every candidate still allowed
+    extends the member, so a node's last candidate is a leaf, reached without calling the rule."""
     cand, forbid = _RULES[kind.name](kind, range(1, n + 1))
     cand &= ~avoid
+    by_max = [[0] * (n + 1) for _ in range(n + 1)]
 
     def rec(mask, cand, k):
         while cand:
             bit = cand & -cand
             cand ^= bit
             x = bit.bit_length() - 1
-            visit(mask | bit, x, k)
+            by_max[x][k] += 1
+            if masks is not None:
+                masks.append(mask | bit)
             if cand and (rest := cand & ~forbid(mask, x)):
                 rec(mask | bit, rest, k + 1)
 
     if not with_one:
         rec(0, cand, 1)
     elif cand & _ONE:
-        visit(_ONE, 1, 1)
+        rec(0, _ONE, 1)  # {1} alone, a leaf
         rec(_ONE, cand & ~forbid(0, 1) & ~_ONE, 2)
+    return by_max
 
 
 def _check_size(n: int, guard: int | None = None) -> None:
@@ -251,7 +257,7 @@ def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD, avoid: int
     elements in the mask `avoid`, ascending."""
     _check_size(n, guard)
     masks = [0]
-    _walk(kind, n, lambda mask, x, k: masks.append(mask), avoid)
+    _walk(kind, n, masks, avoid)
     masks.sort()
     return masks
 
@@ -303,14 +309,9 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
     <= n times (1 + x)^c: each member takes any subset of the c free primes <= n.
     """
     _check_size(n_max, guard)
-    by_max = [[0] * (n_max + 1) for _ in range(n_max + 1)]
-    by_max[0][0] = 1  # the empty set
-
-    def visit(mask, x, k):
-        by_max[x][k] += 1
-
     free = numthy.chebyshev_primes(n_max) if _FREE_PRIME_MEETS.get(kind.name) == 0 else []
-    _walk(kind, n_max, visit, _mask(free))
+    by_max = _walk(kind, n_max, avoid=_mask(free))
+    by_max[0][0] = 1  # the empty set
 
     rows = []
     acc = by_max[0]
@@ -354,7 +355,7 @@ def maximal_members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD) ->
     free = _mask(numthy.chebyshev_primes(n)) if kind.name in _FREE_PRIME_MEETS else 0
     masks = [m | free for m in _maximal_masks(members(kind, n, guard, free | one), n)]
     if one:
-        _walk(kind, n, lambda mask, x, k: masks.append(mask), with_one=True)
+        _walk(kind, n, masks, with_one=True)
         masks = _maximal_masks(sorted(masks), n)
     return masks
 

@@ -185,6 +185,12 @@ def test_maximal_cliques_against_subset_oracle(k, data):
     assert found == oracles.maximal_cliques_by_subsets(range(k), edges)
 
 
+def test_maximal_cliques_deeper_than_the_recursion_limit():
+    # the even numbers to 2200 under gcd > 1: one clique of 1100 vertices
+    found = maximal_cliques(range(2, 2201, 2), lambda u, v: gcd(u, v) > 1)
+    assert found == [sum(1 << v for v in range(2, 2201, 2))]
+
+
 def test_strong_collapse_octahedron_is_minimal():
     assert strong_collapse(OCTAHEDRON) == OCTAHEDRON
 

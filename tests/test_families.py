@@ -308,12 +308,17 @@ def _walk_calling_every_candidate(kind, n):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_stateless_rules_only_forbid(kind):
-    # _walk visits a node's last candidate without calling the rule; the visits
-    # match a walk that calls it every time, order included
+    # _walk reaches a node's last candidate without calling the rule; its masks
+    # match a walk that calls it every time, order included, and its tally is
+    # the (largest element, size) histogram of that walk's visits
     for n in range(1, 15):
-        walked = []
-        families._walk(kind, n, lambda *v: walked.append(v))
-        assert walked == _walk_calling_every_candidate(kind, n), n
+        visits = _walk_calling_every_candidate(kind, n)
+        histogram = [[0] * (n + 1) for _ in range(n + 1)]
+        for _, x, k in visits:
+            histogram[x][k] += 1
+        masks = []
+        assert families._walk(kind, n, masks) == histogram, n
+        assert masks == [mask for mask, _, _ in visits], n
 
 
 def test_root_is_least_m_with_x_dividing_m_squared():
