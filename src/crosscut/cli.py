@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from functools import cache
 from math import comb
 from pathlib import Path
 from typing import NamedTuple
@@ -337,6 +338,7 @@ def cmd_oeis_compare(
     return (1 if mismatches else 0), record.render(fmt)
 
 
+@cache  # built on the first main call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="csv")

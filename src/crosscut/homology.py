@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .cliques import bits
 from .complexes import SimplicialComplex, faces_by_dimension
+from .families import ENUMERATION_GUARD, EnumerationGuardError
 
 
 class HomologyGroup(NamedTuple):
@@ -154,9 +155,12 @@ def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:
 def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:
     """H~_d for d = 0..d_max: rank f_d - rank d_d - rank d_{d+1}, torsion from the
     invariant factors of d_{d+1}. Only d >= 0 is reported, so {empty set}, the
-    complex with no facets, reads 0 everywhere though its H~_{-1} is Z."""
+    complex with no facets, reads 0 everywhere though its H~_{-1} is Z. Over
+    2^ENUMERATION_GUARD rows raises EnumerationGuardError before any row is built."""
     if d_max < 0:
         raise ValueError(f"need d_max >= 0, got {d_max}")
+    if d_max.bit_length() > ENUMERATION_GUARD:  # d_max + 1 > 2^ENUMERATION_GUARD
+        raise EnumerationGuardError(f"d_max {d_max} asks for {d_max + 1} rows, over 2^{ENUMERATION_GUARD}")
     top = min(d_max, c.dim)  # the rows above have no faces: 0, with no elimination
     levels = [[0], *faces_by_dimension(c, top + 1)]  # levels[d + 1] holds the d-faces
     ranks: list[int] = []

@@ -363,6 +363,17 @@ def test_main_runs_each_subcommand(argv, call, monkeypatch, capsys):
     assert capsys.readouterr().out == text + "\n"
 
 
+def test_main_reuses_its_parser_without_leaking_options(monkeypatch, capsys):
+    # main builds its parser once per process, so --guard-override, --no-collapse
+    # and --format from one call must not carry into the next, in either order
+    monkeypatch.chdir(ROOT)
+    expected = [(argv, call()) for argv, call in SUBCOMMANDS]
+    for argv, (code, text) in [*expected, *reversed(expected)]:
+        assert main(argv.split()) == code, argv
+        assert capsys.readouterr().out == text + "\n", argv
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_main_closed_stdout_is_not_an_error():
     # a reader that stops after one line closes the pipe mid-write; the listing
     # (about 1 MB) outgrows the pipe buffer, so the write fails after the close.

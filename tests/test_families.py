@@ -308,17 +308,21 @@ def _walk_calling_every_candidate(kind, n):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_stateless_rules_only_forbid(kind):
-    # _walk reaches a node's last candidate without calling the rule; its masks
-    # match a walk that calls it every time, order included, and its tally is
-    # the (largest element, size) histogram of that walk's visits
+    # _walk reaches a node's last candidate without calling the rule, and tallies
+    # a child with one candidate in place; its masks match a walk that calls the
+    # rule every time, order included, and its tally is the (largest element,
+    # size) histogram of that walk's visits. The rooted walk (with_one) matches
+    # the visits that hold 1.
     for n in range(1, 15):
         visits = _walk_calling_every_candidate(kind, n)
-        histogram = [[0] * (n + 1) for _ in range(n + 1)]
-        for _, x, k in visits:
-            histogram[x][k] += 1
-        masks = []
-        assert families._walk(kind, n, masks) == histogram, n
-        assert masks == [mask for mask, _, _ in visits], n
+        for with_one in (False, True):
+            kept = [v for v in visits if v[0] & families._ONE] if with_one else visits
+            histogram = [[0] * (n + 1) for _ in range(n + 1)]
+            for _, x, k in kept:
+                histogram[x][k] += 1
+            masks = []
+            assert families._walk(kind, n, masks, with_one=with_one) == histogram, (n, with_one)
+            assert masks == [mask for mask, _, _ in kept], (n, with_one)
 
 
 def test_root_is_least_m_with_x_dividing_m_squared():

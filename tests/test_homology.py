@@ -14,7 +14,7 @@ from crosscut.complexes import (
     nerve,
     strong_collapse,
 )
-from crosscut.families import COPRIME_FREE, s_multiple
+from crosscut.families import COPRIME_FREE, ENUMERATION_GUARD, EnumerationGuardError, s_multiple
 from crosscut.homology import HomologyGroup, reduced_homology
 from crosscut.numthy import chebyshev_primes
 
@@ -195,6 +195,14 @@ def test_reduced_homology_above_dim_is_zero_rows(c):
     for d_max in (c.dim + 1, c.dim + 5, 300_000):
         assert reduced_homology(c, d_max) == short + [HomologyGroup(0)] * (d_max + 1 - len(short))
     assert faces_by_dimension(c, 300_000)[c.dim + 1 :] == [[]] * (300_000 - c.dim)
+
+
+def test_reduced_homology_refuses_rows_past_the_guard():
+    # d_max + 1 rows are built, so d_max = 2**40 would ask for 8 TiB: refused before any row
+    for d_max in (2**40, 1 << ENUMERATION_GUARD):
+        message = rf"asks for {d_max + 1} rows, over 2\^{ENUMERATION_GUARD}"
+        with pytest.raises(EnumerationGuardError, match=message):
+            reduced_homology(SimplicialComplex([2]), d_max)
 
 
 def test_smultiple_homology_small():
