@@ -127,11 +127,14 @@ def coprime_free_collapsed(n: int) -> SimplicialComplex:
 
 
 def faces_by_dimension(c: SimplicialComplex, d_max: int) -> list[list[int]]:
-    """Faces of each dimension 0..d_max as ascending vertex masks. A dimension with
-    over 2^ENUMERATION_GUARD faces raises EnumerationGuardError: before any face is
+    """Faces of each dimension 0..d_max as ascending vertex masks. Raises
+    EnumerationGuardError for over 2^ENUMERATION_GUARD levels, before any is built,
+    and for a dimension with over 2^ENUMERATION_GUARD faces: before any face is
     listed when one facet alone has that many, else once the running union has."""
     if d_max < 0:
         raise ValueError(f"need d_max >= 0, got {d_max}")
+    if d_max.bit_length() > ENUMERATION_GUARD:  # d_max + 1 > 2^ENUMERATION_GUARD
+        raise EnumerationGuardError(f"d_max {d_max} asks for {d_max + 1} levels, over 2^{ENUMERATION_GUARD}")
     limit = 1 << ENUMERATION_GUARD
     top = min(d_max, c.dim)  # the levels above top are empty
     for d in range(top + 1):

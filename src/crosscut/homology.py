@@ -47,7 +47,9 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
     entry is not +-1 now can only pop as a no-op (a new write of +-1 there
     pushes above it), so once the stack outgrows _PRUNE_FACTOR times the pushes
     that survived its last pruning plus _PRUNE_SLACK, it keeps only the pushes
-    still at +-1; every pivot, and so the fill-in, stays as it was."""
+    still at +-1; every pivot, and so the fill-in, stays as it was. A pivot v = +-1
+    clears its row from the other columns exactly (multiplier = entry * v), and the
+    row operations would only zero the rest of its column, so they are skipped."""
     rows: dict[int, set[int]] = {}
     for j, col in cols.items():
         for i in col:
@@ -55,35 +57,13 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
     units: list[int] = [
         x for j, col in cols.items() for i, v in col.items() if v in (1, -1) for x in (j, i)
     ]
-
-    def col_axpy(dst: int, src: int, q: int) -> None:
-        # column dst -= q * column src
-        target = cols.setdefault(dst, {})
-        for i, v in cols[src].items():
-            new = target.get(i, 0) - q * v
-            if new:
-                if i not in target:
-                    rows[i].add(dst)
-                target[i] = new
-                if new in (1, -1):
-                    units.append(dst)
-                    units.append(i)
-            elif i in target:
-                del target[i]
-                rows[i].discard(dst)
-        if not target:
-            del cols[dst]
-
     limit = _PRUNE_FACTOR * len(units) + 2 * _PRUNE_SLACK  # in entries, two per push
     pivots: list[int] = []
     while True:
         if len(units) > limit:
             pushes = iter(units)
             units[:] = [
-                x
-                for j, i in zip(pushes, pushes)
-                if cols.get(j, _NONE).get(i) in (1, -1)
-                for x in (j, i)
+                x for j, i in zip(pushes, pushes) if cols.get(j, _NONE).get(i) in (1, -1) for x in (j, i)
             ]
             limit = _PRUNE_FACTOR * len(units) + 2 * _PRUNE_SLACK
         pj = pi = None
@@ -100,19 +80,42 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
             if pj is None:
                 return pivots
         while True:
-            v = cols[pj][pi]
+            col = cols[pj]
+            v = col[pi]
+            unit = v in (1, -1)
+            # column j -= q * column pj for each j in row pi; src is pj as (row, value, row's cols)
+            src = [(i, w, rows[i]) for i, w in col.items() if not unit or i != pi]
             for j in sorted(rows[pi]):
                 if j == pj:
                     continue
-                q = cols[j][pi] // v
+                target = cols[j]
+                q = target.pop(pi) * v if unit else target[pi] // v
                 if q:
-                    col_axpy(j, pj, q)
+                    get = target.get
+                    for i, w, row in src:
+                        new = get(i)
+                        if new is None:
+                            new = -q * w
+                            row.add(j)
+                        else:
+                            new -= q * w
+                            if not new:
+                                del target[i]
+                                row.discard(j)
+                                continue
+                        target[i] = new
+                        if new in (1, -1):
+                            units.append(j)
+                            units.append(i)
+                if not target:
+                    del cols[j]
+            if unit:
+                break
             leftover = [j for j in rows[pi] if j != pj]
             if leftover:
                 # a remainder smaller than |v| survives; pivot on it instead
                 pj = min(leftover, key=lambda j: abs(cols[j][pi]))
                 continue
-            col = cols[pj]
             for i in list(col):
                 if i == pi:
                     continue
@@ -133,9 +136,10 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
                 pi = min(leftover_rows, key=lambda i: abs(col[i]))
                 continue
             break
-        pivots.append(cols[pj][pi])
-        del cols[pj]
-        del rows[pi]
+        pivots.append(col.pop(pi))
+        del cols[pj], rows[pi]
+        for i in col:  # left only by a unit pivot, which skips the row operations
+            rows[i].discard(pj)
 
 
 def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:

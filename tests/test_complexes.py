@@ -307,6 +307,14 @@ def test_faces_by_dimension_guard(monkeypatch):
     assert len(faces_by_dimension(simplex4, 0)[0]) == 5
 
 
+def test_faces_by_dimension_refuses_levels_past_the_guard():
+    # d_max + 1 levels are built, so d_max = 2**40 would ask for 2^40 lists: refused before any
+    for d_max in (2**40, 2**24):
+        message = rf"asks for {d_max + 1} levels, over 2\^{families.ENUMERATION_GUARD}"
+        with pytest.raises(EnumerationGuardError, match=message):
+            faces_by_dimension(SimplicialComplex([2]), d_max)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.lists(

@@ -381,8 +381,35 @@ def test_pivot_order_on_integer_matrices(prune_every_pivot, nrows, ncols, data):
 
 
 @PRUNING
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.data(),
+)
+def test_pivot_order_on_unit_matrices(prune_every_pivot, nrows, ncols, data):
+    # cells in -1..1, so most pivots are +-1 and take the unit shortcut on random shapes
+    cols: dict[int, dict[int, int]] = {}
+    for i in range(nrows):
+        for j in range(ncols):
+            v = data.draw(st.integers(min_value=-1, max_value=1))
+            if v:
+                cols.setdefault(j, {})[i] = v
+    assert_pivot_order(cols, prune_every_pivot)
+
+
+@PRUNING
 def test_pivot_order_on_coprime_free_d3(prune_every_pivot):
     assert_pivot_order(boundary(coprime_free_collapsed(90), 3)[2], prune_every_pivot)
+
+
+@PRUNING
+@pytest.mark.parametrize("s", [2, 3])
+def test_pivot_order_on_smultiple_d4(prune_every_pivot, s):
+    # the faces workload's d_4 at n = 15; pruning before every pivot is quadratic, so n = 12
+    n = 12 if prune_every_pivot else 15
+    c = strong_collapse(face_complex(s_multiple(s), n))
+    assert_pivot_order(boundary(c, 4)[2], prune_every_pivot)
 
 
 def test_pivot_values_memory_on_coprime_free_d3():
