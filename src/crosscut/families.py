@@ -121,20 +121,28 @@ def _rule_smultiple(kind: FamilyKind, universe):
 
 
 def _rule_distinctpairproducts(kind: FamilyKind, universe):
-    # A larger y repeats a product only as y*a = x*d with a < d in the set: two
-    # products that both hold y are never equal, and y = c*d/x < x.
+    # A larger y repeats a product only as y*a = x*d with a < d in the set: two products
+    # that both hold y differ, and y = c*d/x < x. x's table lists each such pair of the universe
+    # with y <= n as (mask of {a, d}, bit of y), each a walking d up to x or the first y past n.
     n = max(universe, default=0)
 
-    def forbid(mask, x):
-        elems = bits(mask)
-        out = 0
-        for i, a in enumerate(elems):
-            for d in elems[i + 1 :]:
-                xd = x * d
-                if xd > n * a:
+    @cache
+    def pairs(x):
+        below = [a for a in universe if a < x]
+        table = []
+        for i, a in enumerate(below):
+            for d in below[i + 1 :]:
+                if x * d > n * a:
                     break
-                if xd % a == 0:
-                    out |= 1 << xd // a
+                if x * d % a == 0:
+                    table.append((1 << a | 1 << d, 1 << x * d // a))
+        return table
+
+    def forbid(mask, x):
+        out = 0
+        for pair, bit in pairs(x):
+            if mask & pair == pair:
+                out |= bit
         return out
 
     return _mask(universe), forbid

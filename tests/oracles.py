@@ -3,9 +3,12 @@
 Nothing here reuses the package's incremental machinery: membership predicates
 check the defining condition directly on a tuple of elements, counting walks
 all 2^n masks, divisor counts and totients count by trial, ranks come from
-Fraction Gaussian elimination, and invariant factors from gcds of k x k minors. The one exception is pivot_values_lifo, the
-Smith elimination with an unpruned unit stack, against which the package's
-pivot order is checked.
+Fraction Gaussian elimination, and invariant factors from gcds of k x k minors.
+The two exceptions are pivot_values_lifo, the Smith elimination with an
+unpruned unit stack, against which the package's pivot order is checked, and
+pair_products_forbidden, the distinct-pair-products extension rule as a scan of
+every pair of the member, against which the rule's per-element pair tables are
+checked.
 """
 
 from __future__ import annotations
@@ -85,6 +88,22 @@ def pair_products_differ(elems) -> bool:
     have equal products, so this is the same condition."""
     products = [i * j for i, j in combinations(elems, 2)]
     return len(set(products)) == len(products)
+
+
+def pair_products_forbidden(mask: int, x: int, n: int) -> int:
+    """The mask of the y > x, y <= n, with y*a = x*d for a pair a < d of the
+    subset mask (bit e for element e): what adding x to a distinct-pair-products
+    member forbids, by a scan of every pair of the member."""
+    elems = [e for e in range(mask.bit_length()) if mask >> e & 1]
+    out = 0
+    for i, a in enumerate(elems):
+        for d in elems[i + 1 :]:
+            xd = x * d
+            if xd > n * a:
+                break
+            if xd % a == 0:
+                out |= 1 << xd // a
+    return out
 
 
 def is_no_divisor_of_pair_product(elems) -> bool:

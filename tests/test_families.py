@@ -599,3 +599,27 @@ def test_distinct_pair_products_many_elements():
     clash = mask_of(primes + [2 * p, 3 * p])
     assert not families.is_member(DISTINCT_PAIR_PRODUCTS, clash)
     assert families.is_member(DISTINCT_PAIR_PRODUCTS, mask_of(primes + [3 * p]))
+
+
+def test_distinct_pair_products_tables_match_pair_scan():
+    # forbid reads x's pair table; the oracle scans every pair of the member
+    n = 14
+    _, forbid = families._RULES["distinctpairproducts"](DISTINCT_PAIR_PRODUCTS, range(1, n + 1))
+    for mask in families.members(DISTINCT_PAIR_PRODUCTS, n):
+        for x in range(mask.bit_length(), n + 1):
+            assert forbid(mask, x) == oracles.pair_products_forbidden(mask, x, n), (bits(mask), x)
+    # sparse subsets of [1..1000], the universe shape is_member builds the rule over
+    rng = random.Random(0)
+    for _ in range(200):
+        elems = sorted(rng.sample(range(1, 1001), rng.randint(2, 60)))
+        _, forbid = families._RULES["distinctpairproducts"](DISTINCT_PAIR_PRODUCTS, elems)
+        for k, x in enumerate(elems):
+            mask = mask_of(elems[:k])
+            assert forbid(mask, x) == oracles.pair_products_forbidden(mask, x, elems[-1]), (elems, x)
+
+
+def test_distinct_pair_products_members_match_oracle_to_16():
+    # test_members_match_oracle stops at n = 10
+    want = [m << 1 for m in range(1 << 16) if oracles.pair_products_differ(oracles.mask_elements(16, m))]
+    for n in range(11, 17):
+        assert families.members(DISTINCT_PAIR_PRODUCTS, n) == [m for m in want if not m >> n + 1], n
