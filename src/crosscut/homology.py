@@ -42,14 +42,15 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
     """Diagonalize {col: {row: value}} in place by integer row and column
     operations; returns the diagonal (not yet a divisibility chain).
 
-    Unit pivots pop off a LIFO of pushes, one per write of +-1, each the col
-    and then the row as two entries of one flat list of ints. A push whose
-    entry is not +-1 now can only pop as a no-op (a new write of +-1 there
-    pushes above it), so once the stack outgrows _PRUNE_FACTOR times the pushes
-    that survived its last pruning plus _PRUNE_SLACK, it keeps only the pushes
-    still at +-1; every pivot, and so the fill-in, stays as it was. A pivot v = +-1
-    clears its row from the other columns exactly (multiplier = entry * v), and the
-    row operations would only zero the rest of its column, so they are skipped."""
+    Unit pivots pop off a LIFO of pushes, one per write of +-1, each the col and then
+    the row as two entries of one flat list of ints. A push whose entry is not +-1 now
+    can only pop as a no-op (a new write of +-1 there pushes above it). Only an entry's
+    newest push can pivot, and an older push of the same entry is always a no-op when
+    popped. So once the stack outgrows _PRUNE_FACTOR times the pushes that survived its
+    last pruning plus _PRUNE_SLACK, it keeps only the pushes still at +-1; every pivot,
+    and so the fill-in, stays as it was. A pivot v = +-1 clears its row from the other
+    columns exactly (multiplier = entry * v), and the row operations would only zero the
+    rest of its column, so they are skipped."""
     rows: dict[int, set[int]] = {}
     for j, col in cols.items():
         for i in col:

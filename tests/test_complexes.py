@@ -26,6 +26,9 @@ from crosscut.families import (
 from crosscut.homology import HomologyGroup, reduced_homology
 
 import oracles
+from test_routes import OCTAHEDRON, bind
+
+bind(globals())  # this module's routes and their references are rows of test_routes.ROUTES
 
 
 def mask(*vertices):
@@ -35,16 +38,6 @@ def mask(*vertices):
 def has_face(c, face):
     m = mask(*face)
     return any(m & ~f == 0 for f in c.facets)
-
-
-OCTAHEDRON = SimplicialComplex(
-    oracles.labelled(
-        [
-            (1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6),
-            (2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6),
-        ]
-    )
-)
 
 
 def test_construction_reduces_to_facets():
@@ -212,16 +205,6 @@ def test_strong_collapse_coprime_free_12():
     assert c.facets == (mask(1), mask(6), mask(7), mask(11))
 
 
-def test_strong_collapse_idempotent_and_homology_preserving():
-    for n in range(2, 19):
-        c = face_complex(COPRIME_FREE, n)
-        sc = strong_collapse(c)
-        assert strong_collapse(sc) == sc
-        d = max(c.dim, 0)
-        d = min(d, 3)
-        assert reduced_homology(sc, d) == reduced_homology(c, d), n
-
-
 def test_coprime_free_collapsed_small():
     assert coprime_free_collapsed(1) == SimplicialComplex(oracles.labelled([(1,)]))
     assert coprime_free_collapsed(2) == SimplicialComplex(oracles.labelled([(1,), (2,)]))
@@ -271,14 +254,6 @@ def test_strong_collapse_of_reduced_model_h2_first_at_143():
     antipodes = {42: 1, 143: 2, 66: 3, 91: 4, 77: 5, 78: 6}
     solid = [[antipodes[v] for v in bits(f)] for f in c.facets if f & f - 1]
     assert SimplicialComplex(oracles.labelled(solid)) == OCTAHEDRON
-
-
-def test_coprime_free_collapsed_matches_face_complex_homology():
-    for n in range(1, 25):
-        reduced = coprime_free_collapsed(n)
-        full = face_complex(COPRIME_FREE, n)
-        d = min(max(full.dim, 0), 2)
-        assert reduced_homology(reduced, d) == reduced_homology(full, d), n
 
 
 def test_faces_by_dimension():
@@ -342,38 +317,3 @@ def test_facet_nerve_small_models():
     # vertices are indices into the sorted facet list
     c = SimplicialComplex(oracles.labelled([(1, 2), (2, 3), (3, 4)]))
     assert nerve(c.facets) == SimplicialComplex(oracles.labelled([(0, 1), (1, 2)]))
-
-
-def test_facet_nerve_preserves_homology():
-    for c in (
-        OCTAHEDRON,
-        face_complex(COPRIME_FREE, 12),
-        face_complex(s_multiple(2), 8),
-        coprime_free_collapsed(30),
-    ):
-        d = max(c.dim, 0)
-        model = strong_collapse(nerve(c.facets))
-        assert reduced_homology(model, d) == reduced_homology(c, d), c
-
-
-def test_facet_nerve_preserves_torsion():
-    rp2 = SimplicialComplex(
-        oracles.labelled(
-            [
-                (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-                (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-            ]
-        )
-    )
-    groups = reduced_homology(strong_collapse(nerve(rp2.facets)), 2)
-    assert [(g.rank, g.torsion) for g in groups] == [(0, ()), (0, (2,)), (0, ())]
-
-
-def test_facet_nerve_matches_direct_route_on_fat_nerve():
-    # the collapsed nerve of the s=3 maximal members has few facets but huge
-    # face counts; the facet-cover model must agree with direct expansion
-    nc = strong_collapse(nerve(families.maximal_members(s_multiple(3), 8)))
-    direct = reduced_homology(nc, 2)
-    via_model = reduced_homology(strong_collapse(nerve(nc.facets)), 2)
-    assert direct == via_model
-    assert direct == reduced_homology(face_complex(s_multiple(3), 8), 2)

@@ -1,5 +1,4 @@
 import math
-import random
 import re
 from itertools import combinations
 
@@ -26,24 +25,9 @@ from crosscut.families import (
 )
 
 import oracles
+from test_routes import ALL_KINDS, bind, mask_of
 
-ALL_KINDS = [
-    PRIMITIVE,
-    PAIRWISE_COPRIME,
-    PRODUCT_FREE,
-    COPRIME_FREE,
-    DISTINCT_PAIR_PRODUCTS,
-    NO_DIVISOR_OF_PAIR_PRODUCT,
-    DIVISIBILITY_CHAIN,
-    s_multiple(1),
-    s_multiple(2),
-    s_multiple(3),
-    s_multiple(4),
-]
-
-
-def mask_of(elements) -> int:
-    return sum(1 << x for x in elements)
+bind(globals())  # this module's routes and their references are rows of test_routes.ROUTES
 
 
 # --- kinds and subsets --------------------------------------------------------
@@ -154,59 +138,6 @@ def test_is_member_stops_at_first_failure(monkeypatch):
     assert seen == [1]
 
 
-# --- membership against the direct predicates ---------------------------------
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
-def test_is_member_matches_oracle(kind):
-    for n in range(1, 11):
-        pred = oracles.oracle_predicate(kind.name, kind.s)
-        for mask in range(1 << n):
-            got = families.is_member(kind, mask << 1)
-            assert got == pred(oracles.mask_elements(n, mask)), (n, mask)
-
-
-def test_pair_products_oracles_agree():
-    for mask in range(1 << 12):
-        elems = oracles.mask_elements(12, mask)
-        assert oracles.pair_products_differ(elems) == oracles.is_distinct_pair_products(elems)
-
-
-SMOOTH_5 = [m for m in range(1, 1001) if 30**10 % m == 0]  # dense in ab = cd and i | jk
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
-def test_is_member_matches_oracle_on_greedy_members(kind):
-    # members of up to 170 elements as large as 1000, grown greedily from a
-    # shuffled pool; at each step every extension that was still a member is
-    # checked, as one that was not stays out (downward closure). The O(k^4)
-    # pair-product oracle is too slow at this size.
-    if kind == DISTINCT_PAIR_PRODUCTS:
-        pred = oracles.pair_products_differ
-    else:
-        pred = oracles.oracle_predicate(kind.name, kind.s)
-    for pool in (SMOOTH_5, range(1, 200)):
-        left = list(pool)
-        random.Random(0).shuffle(left)
-        member = []
-        while left:
-            tried, left = left, []
-            for x in tried:
-                want = pred(member + [x])
-                assert families.is_member(kind, mask_of(member + [x])) == want, (member, x)
-                if want:
-                    left.append(x)
-            if left:
-                member.append(left.pop(0))
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
-def test_members_match_oracle(kind):
-    for n in range(1, 11):
-        got = families.members(kind, n)
-        assert got == sorted(m << 1 for m in oracles.member_masks(kind.name, n, kind.s))
-
-
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
 def test_downward_closure_exhaustive(kind):
     # removing any one element from a member must leave a member
@@ -240,28 +171,6 @@ def test_smultiple_bound_at_least_n_admits_every_subset():
 # --- count triangles ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
-def test_count_triangle_matches_oracle(kind):
-    tri = families.count_triangle(kind, 10)
-    for n in range(1, 11):
-        want = oracles.counts_by_size(kind.name, n, kind.s)
-        assert tri.rows[n - 1] == want
-
-
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-def test_smultiple_count_triangle_matches_oracle_to_14(s):
-    # the s-multiple rule keeps only the divisors a of x with a multiple above x,
-    # the least being x + a; past n = 10 several such a are in play at once. One
-    # pass over 2^[14] gives every row, as a member within 2^[n] has no element above n.
-    pred = oracles.oracle_predicate("smultiple", s)
-    rows = [[0] * (n + 1) for n in range(1, 15)]
-    for mask in range(1 << 14):
-        if pred(oracles.mask_elements(14, mask)):
-            for n in range(max(mask.bit_length(), 1), 15):
-                rows[n - 1][mask.bit_count()] += 1
-    assert families.count_triangle(s_multiple(s), 14).rows == tuple(map(tuple, rows))
-
-
 @pytest.mark.parametrize(
     ("kind", "table"),
     [
@@ -278,16 +187,6 @@ def test_count_triangle_matches_frozen_tables(kind, table):
         for k, want in enumerate(row):
             got = tri.count(n, k) if k <= n else 0
             assert got == want, (kind.label(), n, k)
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
-def test_count_triangle_fold_matches_full_walk(kind):
-    # every n_max to 20 (11..20 fold 2-4 free primes back in); members walks them all
-    for n in range(1, 21):
-        sizes = [0] * (n + 1)
-        for mask in families.members(kind, n):
-            sizes[mask.bit_count()] += 1
-        assert families.count_triangle(kind, n).rows[n - 1] == tuple(sizes), n
 
 
 def _walk_calling_every_candidate(kind, n):
@@ -463,40 +362,6 @@ def test_guard():
 # --- maximal members and partitions ---------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
-def test_maximal_members_match_oracle(kind):
-    for n in range(1, 11):
-        got = families.maximal_members(kind, n)
-        assert got == [m << 1 for m in oracles.maximal_masks(kind.name, n, kind.s)]
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
-def test_maximal_fold_matches_full_walk(kind):
-    # maximal_members walks [n] without the free primes (and without 1 where
-    # they meet it); the filter over every member is the reference
-    for n in range(1, 21):
-        full = families.members(kind, n)
-        got = families.maximal_members(kind, n)
-        assert got == families._maximal_masks(full, n), n
-        one, free = mask_of([1]), mask_of(numthy.chebyshev_primes(n))
-        for avoid in (one, free, free | one):
-            want = [m for m in full if not m & avoid]
-            assert families.members(kind, n, avoid=avoid) == want, (n, avoid)
-
-
-def test_coprimefree_maximal_dual_route():
-    # clique construction versus the generic one-element-extension filter
-    for n in range(1, 15):
-        clique_route = families.maximal_members(COPRIME_FREE, n)
-        masks = set(families.members(COPRIME_FREE, n))
-        filter_route = sorted(
-            m
-            for m in masks
-            if all(m >> i & 1 or (m | 1 << i) not in masks for i in range(1, n + 1))
-        )
-        assert clique_route == filter_route
-
-
 def test_maximal_examples():
     prim4 = families.maximal_members(PRIMITIVE, 4)
     assert [bits(s) for s in prim4] == [[1], [2, 3], [3, 4]]
@@ -599,27 +464,3 @@ def test_distinct_pair_products_many_elements():
     clash = mask_of(primes + [2 * p, 3 * p])
     assert not families.is_member(DISTINCT_PAIR_PRODUCTS, clash)
     assert families.is_member(DISTINCT_PAIR_PRODUCTS, mask_of(primes + [3 * p]))
-
-
-def test_distinct_pair_products_tables_match_pair_scan():
-    # forbid reads x's pair table; the oracle scans every pair of the member
-    n = 14
-    _, forbid = families._RULES["distinctpairproducts"](DISTINCT_PAIR_PRODUCTS, range(1, n + 1))
-    for mask in families.members(DISTINCT_PAIR_PRODUCTS, n):
-        for x in range(mask.bit_length(), n + 1):
-            assert forbid(mask, x) == oracles.pair_products_forbidden(mask, x, n), (bits(mask), x)
-    # sparse subsets of [1..1000], the universe shape is_member builds the rule over
-    rng = random.Random(0)
-    for _ in range(200):
-        elems = sorted(rng.sample(range(1, 1001), rng.randint(2, 60)))
-        _, forbid = families._RULES["distinctpairproducts"](DISTINCT_PAIR_PRODUCTS, elems)
-        for k, x in enumerate(elems):
-            mask = mask_of(elems[:k])
-            assert forbid(mask, x) == oracles.pair_products_forbidden(mask, x, elems[-1]), (elems, x)
-
-
-def test_distinct_pair_products_members_match_oracle_to_16():
-    # test_members_match_oracle stops at n = 10
-    want = [m << 1 for m in range(1 << 16) if oracles.pair_products_differ(oracles.mask_elements(16, m))]
-    for n in range(11, 17):
-        assert families.members(DISTINCT_PAIR_PRODUCTS, n) == [m for m in want if not m >> n + 1], n

@@ -19,27 +19,9 @@ from crosscut.homology import HomologyGroup, reduced_homology
 from crosscut.numthy import chebyshev_primes
 
 import oracles
-from test_families import ALL_KINDS
+from test_routes import OCTAHEDRON, RP2, bind, boundary
 
-OCTAHEDRON = SimplicialComplex(
-    oracles.labelled(
-        [
-            (1, 3, 5), (1, 3, 6), (1, 4, 5), (1, 4, 6),
-            (2, 3, 5), (2, 3, 6), (2, 4, 5), (2, 4, 6),
-        ]
-    )
-)
-
-# six-vertex triangulation of the real projective plane: every edge lies in
-# exactly two of the ten triangles
-RP2 = SimplicialComplex(
-    oracles.labelled(
-        [
-            (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-            (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-        ]
-    )
-)
+bind(globals())  # this module's routes and their references are rows of test_routes.ROUTES
 
 # up to six faces on the vertices 1..6, the complexes the random properties draw;
 # too few faces for torsion, which first needs RP2's ten triangles, so
@@ -49,14 +31,6 @@ RANDOM_FACES = st.lists(
     min_size=1,
     max_size=6,
 )
-
-
-def boundary(c, d):
-    """(rows, cols, {col: {row: sign}}) of d_d, built as reduced_homology builds
-    it: rows and cols are the ascending (d-1)- and d-face masks, and for d = 0
-    the one row 0, the empty face, is the augmentation."""
-    rows, cols = [[0], *faces_by_dimension(c, d)][d:]
-    return tuple(rows), tuple(cols), homology._boundary(rows, cols)
 
 
 def snf(m):
@@ -249,20 +223,6 @@ def test_random_complex_consistency(faces):
     ranks = [oracles.rank_over_q(m) for m in dense]
     for k, g in enumerate(reduced_homology(c, d)):
         assert g.rank == len(maps[k][1]) - ranks[k] - ranks[k + 1], k
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.label())
-def test_family_complex_ranks_match_rational_ranks(kind):
-    # each rank H~_d is f_d - rank_Q d_d - rank_Q d_{d+1}, the ranks taken from
-    # the dense boundaries by Fraction elimination, not from the Smith form
-    for n in range(1, 9):
-        fc = face_complex(kind, n)
-        for c in (fc, strong_collapse(fc)):
-            d = max(c.dim, 0)
-            maps = [boundary(c, k) for k in range(d + 2)]
-            ranks = [oracles.rank_over_q(oracles.to_dense(m)) for m in maps]
-            for k, g in enumerate(reduced_homology(c, d)):
-                assert g.rank == len(maps[k][1]) - ranks[k] - ranks[k + 1], (n, c is fc, k)
 
 
 @settings(deadline=None, max_examples=40)

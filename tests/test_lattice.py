@@ -1,4 +1,3 @@
-import random
 import time
 
 import pytest
@@ -8,7 +7,6 @@ from crosscut.cliques import bits
 from crosscut.complexes import coprime_free_collapsed, face_complex, nerve, strong_collapse
 from crosscut.families import (
     COPRIME_FREE,
-    DIVISIBILITY_CHAIN,
     PAIRWISE_COPRIME,
     PRIMITIVE,
     PRODUCT_FREE,
@@ -27,21 +25,10 @@ from crosscut.lattice import (
     mobius,
 )
 
-import oracles
 from test_acceptance import ALL_KINDS
+from test_routes import SMALL_KINDS, bind, mask_of
 
-SMALL_KINDS = [
-    PRIMITIVE,
-    PAIRWISE_COPRIME,
-    PRODUCT_FREE,
-    COPRIME_FREE,
-    DIVISIBILITY_CHAIN,
-    s_multiple(2),
-]
-
-
-def mask_of(elements) -> int:
-    return sum(1 << x for x in elements)
+bind(globals())  # this module's routes and their references are rows of test_routes.ROUTES
 
 
 def test_top_is_a_singleton():
@@ -116,16 +103,6 @@ def test_mobius_dual_recursion():
                     mobius(lat, z, y) for z in elements if lat.leq(x, z) and lat.leq(z, y)
                 )
                 assert total == (1 if x == y else 0), (kind.label(), x, y)
-
-
-def test_alt_sum_matches_brute_force():
-    for kind in SMALL_KINDS:
-        for n in range(1, 11):
-            want = sum(
-                (-1) ** k * c
-                for k, c in enumerate(oracles.counts_by_size(kind.name, n, kind.s))
-            )
-            assert count_triangle(kind, n).alternating_sum(n) == want
 
 
 def test_alt_sum_known_values():
@@ -203,52 +180,6 @@ def test_crosscut_complex_builds_large_coatom_cuts():
         # the paper's (-1)^(s-1) C(n-2, s-1), and Rota's theorem
         mu = mobius(lat, lat.bottom, TOP)
         assert mu == (-1) ** d * rank == sum((-1) ** k * g.rank for k, g in enumerate(groups))
-
-
-def _crosscut_candidates(lat, seed):
-    """The coatoms, every rank level, and 20 random maximal antichains of the
-    members above the bottom; callers keep those that are cross-cuts."""
-    above = lat.members[1:]
-    yield lat.coatoms()
-    for k in range(1, lat.n + 1):
-        yield [m for m in above if m.bit_count() == k]
-    rng = random.Random(seed)
-    for _ in range(20):
-        chosen = []
-        for m in rng.sample(above, len(above)):
-            if all(m & ~c and c & ~m for c in chosen):
-                chosen.append(m)
-        yield sorted(chosen)
-
-
-def test_crosscut_complex_matches_literal_definition():
-    checked = 0
-    for kind in ALL_KINDS:
-        for n in range(1, 8):
-            lat = FamilyLattice(kind, n)
-            for cut in _crosscut_candidates(lat, f"{kind.label()} {n}"):
-                if not 0 < len(cut) <= 12 or not is_crosscut(lat, cut):
-                    continue
-                faces = set()
-                for f in crosscut_complex(lat, cut).facets:
-                    g = f
-                    while g:
-                        faces.add(g)
-                        g = (g - 1) & f
-                literal = oracles.crosscut_complex_by_subsets(kind.name, n, cut, kind.s)
-                assert faces == literal, (kind.label(), n, cut)
-                checked += 1
-    assert checked > 500
-
-
-def test_crosscut_complex_equals_nerve_of_coatoms():
-    for kind in SMALL_KINDS:
-        for n in range(2, 7):
-            lat = FamilyLattice(kind, n)
-            coatoms = lat.coatoms()
-            literal = crosscut_complex(lat, coatoms)
-            shortcut = nerve(coatoms)
-            assert literal == shortcut, (kind.label(), n)
 
 
 def test_faces_guard_on_fat_crosscut_complex():
