@@ -50,7 +50,7 @@ class FamilyKind(NamedTuple("_Kind", [("name", str), ("s", "int | None")])):
 #
 # Every family here is downward closed, so each member is reachable by adding
 # elements in ascending order, carrying a mask of the larger elements still
-# allowed. A rule over the possible elements (1..n, or a subset's own for
+# allowed. A rule over the possible elements (1..n, or a large subset's own for
 # is_member) is (candidates, forbid); forbid(mask, x) adds x to the member `mask`
 # and returns the mask of the larger elements that would complete a forbidden
 # configuration with x (one without x was ruled on at its own largest element).
@@ -202,16 +202,23 @@ def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
     return FamilyKind(name, s)
 
 
+_shared_rule = cache(lambda kind, n: _RULES[kind.name](kind, range(1, n + 1)))
+
+
 def is_member(kind: FamilyKind, subset: int) -> bool:
     """Whether the subset mask satisfies the family's defining condition.
 
     Depends only on the elements, never on the universe size; the empty set
     always belongs; stops at the first element that an earlier one ruled out.
+    Up to n = 2^8 the rule is built once per (kind, n) over [1..n], n a power of two
+    past the largest element: forbid bits it adds outside the subset are never read.
+    Past that, a table over [1..n] costs O(n) an element, so it covers the subset only.
     """
     if isinstance(subset, bool) or not isinstance(subset, int) or subset < 0 or subset & 1:
         raise ValueError(f"{subset!r} is not a subset mask: a non-int, negative or bit 0 set")
     elems = bits(subset)
-    cand, forbid = _RULES[kind.name](kind, elems)
+    n = 1 << subset.bit_length().bit_length()
+    cand, forbid = _shared_rule(kind, n) if n <= 1 << 8 else _RULES[kind.name](kind, elems)
     mask = 0
     for x in elems:
         if not cand >> x & 1:

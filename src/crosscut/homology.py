@@ -50,11 +50,8 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
     last pruning plus _PRUNE_SLACK, it keeps only the pushes still at +-1; every pivot,
     and so the fill-in, stays as it was. A pivot v = +-1 clears its row from the other
     columns exactly (multiplier = entry * v), and the row operations would only zero the
-    rest of its column, so they are skipped."""
-    rows: dict[int, set[int]] = {}
-    for j, col in cols.items():
-        for i in col:
-            rows.setdefault(i, set()).add(j)
+    rest of its column, so they are skipped. One pass over the columns finds those that
+    hold the pivot's row. A surviving remainder pivots next: least |v|, then least column."""
     units: list[int] = [
         x for j, col in cols.items() for i, v in col.items() if v in (1, -1) for x in (j, i)
     ]
@@ -84,25 +81,22 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
             col = cols[pj]
             v = col[pi]
             unit = v in (1, -1)
-            # column j -= q * column pj for each j in row pi; src is pj as (row, value, row's cols)
-            src = [(i, w, rows[i]) for i, w in col.items() if not unit or i != pi]
-            for j in sorted(rows[pi]):
-                if j == pj:
-                    continue
+            # column j -= q * column pj for each column j that holds row pi, in ascending j
+            hits = sorted(j for j, target in cols.items() if pi in target and j != pj)
+            src = [(i, w) for i, w in col.items() if not unit or i != pi]
+            for j in hits:
                 target = cols[j]
                 q = target.pop(pi) * v if unit else target[pi] // v
                 if q:
                     get = target.get
-                    for i, w, row in src:
+                    for i, w in src:
                         new = get(i)
                         if new is None:
                             new = -q * w
-                            row.add(j)
                         else:
                             new -= q * w
                             if not new:
                                 del target[i]
-                                row.discard(j)
                                 continue
                         target[i] = new
                         if new in (1, -1):
@@ -112,7 +106,7 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
                     del cols[j]
             if unit:
                 break
-            leftover = [j for j in rows[pi] if j != pj]
+            leftover = [j for j in hits if pi in cols.get(j, _NONE)]
             if leftover:
                 # a remainder smaller than |v| survives; pivot on it instead
                 pj = min(leftover, key=lambda j: abs(cols[j][pi]))
@@ -131,16 +125,13 @@ def _pivot_values(cols: dict[int, dict[int, int]]) -> list[int]:
                             units.append(i)
                     else:
                         del col[i]
-                        rows[i].discard(pj)
             leftover_rows = [i for i in col if i != pi]
             if leftover_rows:
                 pi = min(leftover_rows, key=lambda i: abs(col[i]))
                 continue
             break
         pivots.append(col.pop(pi))
-        del cols[pj], rows[pi]
-        for i in col:  # left only by a unit pivot, which skips the row operations
-            rows[i].discard(pj)
+        del cols[pj]
 
 
 def _divisibility_chain(pivots: list[int]) -> tuple[int, ...]:

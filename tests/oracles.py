@@ -322,7 +322,7 @@ def pivot_values_lifo(cols: dict[int, dict[int, int]]) -> list[int]:
                 q = cols[j][pi] // v
                 if q:
                     col_axpy(j, pj, q)
-            leftover = [j for j in rows[pi] if j != pj]
+            leftover = sorted(j for j in rows[pi] if j != pj)
             if leftover:
                 # a remainder smaller than |v| survives; pivot on it instead
                 pj = min(leftover, key=lambda j: abs(cols[j][pi]))

@@ -375,7 +375,8 @@ def test_pivot_order_on_smultiple_d4(prune_every_pivot, s):
 def test_pivot_values_memory_on_coprime_free_d3():
     # the elimination's own peak, the same to 0.1 MB on Python 3.10-3.13: 44.2 MB
     # with the unpruned stack of (col, row) tuples (oracles.pivot_values_lifo),
-    # 27.9 MB with that stack pruned, 16.0 MB with the pruned flat stack of ints
+    # 27.9 MB with that stack pruned, 16.0 MB with the pruned flat stack of ints,
+    # 12.7 MB without the row index of sets of columns
     cols = boundary(coprime_free_collapsed(120), 3)[2]
     tracemalloc.start()
     try:
@@ -384,4 +385,4 @@ def test_pivot_values_memory_on_coprime_free_d3():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 20e6, f"{peak / 1e6:.1f} MB"
+    assert peak < 14e6, f"{peak / 1e6:.1f} MB"
