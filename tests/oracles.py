@@ -201,6 +201,24 @@ def crosscut_complex_by_subsets(name: str, n: int, cut, s: int | None = None) ->
     return faces
 
 
+def is_crosscut_by_chains(facets, cut) -> bool:
+    """Rota's definition, chain by chain, for faces given as package masks (bit x
+    for element x): the cut is an antichain without the empty face, and every
+    maximal chain of the complex's face lattice under a top meets it. Such a chain
+    runs through the prefixes of one ordering of one facet's elements, ending at
+    the facet itself; with no facets the one chain is the empty face and the top."""
+    cut = list(cut)
+    if 0 in cut or any(a & ~b == 0 for a, b in permutations(cut, 2)):
+        return False
+    for facet in facets or [0]:
+        elements = [x for x in range(facet.bit_length()) if facet >> x & 1]
+        for order in permutations(elements):
+            prefixes = [sum(1 << x for x in order[:k]) for k in range(1, len(order) + 1)]
+            if not any(p in cut for p in prefixes):
+                return False
+    return True
+
+
 # --- exact linear algebra oracles --------------------------------------------
 
 

@@ -25,7 +25,6 @@ from crosscut.cli import (
 from crosscut.complexes import coprime_free_collapsed
 from crosscut.families import kind_from_name
 from crosscut.homology import HomologyGroup, reduced_homology
-from crosscut.lattice import FamilyLattice
 
 import oracles
 
@@ -226,7 +225,7 @@ def test_maximal_enumerates_members_once(monkeypatch):
         return members(*args)
 
     monkeypatch.setattr(families, "members", counting)
-    assert len(FamilyLattice(families.PRODUCT_FREE, 10).coatoms()) == 6
+    assert len(families.maximal_members(families.PRODUCT_FREE, 10)) == 6
     assert len(calls) == 1
     calls.clear()
     code, text = cmd_maximal(families.PRODUCT_FREE, 10)

@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from crosscut import homology
+from crosscut import homology, lattice
 from crosscut.cliques import bits
 from crosscut.complexes import coprime_free_collapsed, face_complex, nerve, strong_collapse
 from crosscut.families import (
@@ -13,7 +13,6 @@ from crosscut.families import (
     EnumerationGuardError,
     Partition,
     count_triangle,
-    maximal_members,
     partition_components,
     s_multiple,
 )
@@ -42,26 +41,20 @@ def test_lattice_basics():
     assert lat.is_element(TOP)
     assert lat.is_element(lat.bottom)
     assert not lat.is_element(mask_of([2, 4]))
-    for x in (False, True, 0.0, -1.0, "0"):
+    fc = face_complex(PRIMITIVE, 4)
+    for x in (False, True, 0.0, -1.0, "0", -2):
         assert not lat.is_element(x)
         with pytest.raises(ValueError, match="is not an element"):
-            is_crosscut(lat, [x])
+            is_crosscut(fc, [x])
     assert lat.leq(lat.bottom, TOP)
     assert not lat.leq(TOP, lat.bottom)
-    assert [bits(s) for s in lat.coatoms()] == [[1], [2, 3], [3, 4]]
+    assert [bits(s) for s in fc.facets] == [[1], [2, 3], [3, 4]]
 
 
 def test_lattice_rejects_empty_universe():
     for n in (0, -1):
         with pytest.raises(ValueError, match="need n >= 1"):
             FamilyLattice(PRIMITIVE, n)
-
-
-def test_coatoms_are_maximal_members():
-    # coatoms filter the lattice's own masks; coprime-free maximal members are cliques
-    for kind in SMALL_KINDS:
-        for n in range(1, 11):
-            assert FamilyLattice(kind, n).coatoms() == maximal_members(kind, n), (kind.label(), n)
 
 
 def test_mobius_examples():
@@ -125,26 +118,27 @@ def test_alt_sum_equals_one_minus_m():
 
 
 def test_is_crosscut():
-    lat = FamilyLattice(PRIMITIVE, 4)
-    coatoms = lat.coatoms()
-    assert is_crosscut(lat, coatoms)
+    fc = face_complex(PRIMITIVE, 4)
+    coatoms = list(fc.facets)
+    assert is_crosscut(fc, coatoms)
     s23 = mask_of([2, 3])
-    assert not is_crosscut(lat, [s23])
-    assert not is_crosscut(lat, [lat.bottom] + coatoms)
-    assert not is_crosscut(lat, [TOP] + coatoms)
+    assert not is_crosscut(fc, [s23])
+    assert not is_crosscut(fc, [0] + coatoms)
+    assert not is_crosscut(fc, [TOP] + coatoms)
     # not an antichain: {3} < {2,3}
-    assert not is_crosscut(lat, [mask_of([3]), s23])
+    assert not is_crosscut(fc, [mask_of([3]), s23])
     # nor is a cut that repeats an element, which is comparable with itself
     repeated = [mask_of([1]), s23, mask_of([3, 4]), mask_of([1])]
-    assert not is_crosscut(lat, repeated)
+    assert not is_crosscut(fc, repeated)
     with pytest.raises(ValueError, match="valid cross-cut"):
-        crosscut_complex(lat, repeated)
+        crosscut_complex(fc, repeated)
     with pytest.raises(ValueError):
-        is_crosscut(lat, [mask_of([2, 4])])
-    # the chain search visits each element once, so it needs no guard of its own
-    assert is_crosscut(FamilyLattice(PRIMITIVE, 9), []) is False
-    lat = FamilyLattice(PRIMITIVE, 12)
-    assert is_crosscut(lat, lat.coatoms())
+        is_crosscut(fc, [mask_of([2, 4])])
+    assert is_crosscut(face_complex(PRIMITIVE, 9), []) is False
+    fc = face_complex(PRIMITIVE, 12)
+    assert is_crosscut(fc, fc.facets)
+    # with no facets the lattice is the bottom under the top, and has no cross-cut
+    assert not is_crosscut(face_complex(PRODUCT_FREE, 1), [])
 
 
 def test_coatoms_are_a_crosscut_everywhere():
@@ -152,16 +146,25 @@ def test_coatoms_are_a_crosscut_everywhere():
         for n in range(1, 7):
             if kind == PRODUCT_FREE and n == 1:
                 continue  # the only member is the empty set
-            lat = FamilyLattice(kind, n)
-            assert is_crosscut(lat, lat.coatoms()), (kind.label(), n)
+            fc = face_complex(kind, n)
+            assert is_crosscut(fc, fc.facets), (kind.label(), n)
+
+
+def test_crosscut_walk_guard(monkeypatch):
+    # with no member list to bound it, the walk stops at a rank of over 2^ENUMERATION_GUARD faces
+    fc = face_complex(PRIMITIVE, 12)
+    assert is_crosscut(fc, [1 << 1]) is False
+    monkeypatch.setattr(lattice, "ENUMERATION_GUARD", 3)
+    with pytest.raises(EnumerationGuardError, match=r"rank 1 has over 2\^3 faces"):
+        is_crosscut(fc, [1 << 1])  # the 11 singletons other than {1}
 
 
 def test_crosscut_complex_example():
-    lat = FamilyLattice(PRIMITIVE, 4)
-    c = crosscut_complex(lat, lat.coatoms())
+    fc = face_complex(PRIMITIVE, 4)
+    c = crosscut_complex(fc, fc.facets)
     assert c.facets == (1 << 0, 1 << 1 | 1 << 2)
     with pytest.raises(ValueError):
-        crosscut_complex(lat, [mask_of([2, 3])])
+        crosscut_complex(fc, [mask_of([2, 3])])
 
 
 def test_crosscut_complex_builds_large_coatom_cuts():
@@ -169,24 +172,23 @@ def test_crosscut_complex_builds_large_coatom_cuts():
     # generated by n + #coatoms faces and its facet nerve has only n vertices
     cases = ((s_multiple(4), 8, 36, 3, 20), (s_multiple(3), 12, 70, 2, 45))
     for kind, n, coatom_count, d, rank in cases:
-        lat = FamilyLattice(kind, n)
-        coatoms = lat.coatoms()
-        assert len(coatoms) == coatom_count
-        model = strong_collapse(nerve(crosscut_complex(lat, coatoms).facets))
+        fc = face_complex(kind, n)
+        assert len(fc.facets) == coatom_count
+        model = strong_collapse(nerve(crosscut_complex(fc, fc.facets).facets))
         assert len(model.vertices) <= n
         groups = homology.reduced_homology(model, max(model.dim, 0))
         assert [g.rank for g in groups] == [rank if k == d else 0 for k in range(len(groups))]
         assert all(not g.torsion for g in groups)
         # the paper's (-1)^(s-1) C(n-2, s-1), and Rota's theorem
-        mu = mobius(lat, lat.bottom, TOP)
+        mu = mobius(FamilyLattice(kind, n), 0, TOP)
         assert mu == (-1) ** d * rank == sum((-1) ** k * g.rank for k, g in enumerate(groups))
 
 
 def test_faces_guard_on_fat_crosscut_complex():
     # the coatom cross-cut complex of smultiple(3) at n = 12 has 12 facets of up
     # to 55 vertices: one facet alone has C(55, 6) > 2^24 faces of dimension 5
-    lat = FamilyLattice(s_multiple(3), 12)
-    c = crosscut_complex(lat, lat.coatoms())
+    fc = face_complex(s_multiple(3), 12)
+    c = crosscut_complex(fc, fc.facets)
     assert len(c.facets) == 12 and c.dim == 54
     start = time.monotonic()
     with pytest.raises(EnumerationGuardError, match="dimension 5 "):
@@ -223,9 +225,9 @@ def test_rota_crosscut_theorem():
     # crosscut complex of the coatoms
     for kind in SMALL_KINDS:
         for n in range(2, 7):
-            lat = FamilyLattice(kind, n)
-            mu = mobius(lat, lat.bottom, TOP)
-            c = crosscut_complex(lat, lat.coatoms())
+            mu = mobius(FamilyLattice(kind, n), 0, TOP)
+            fc = face_complex(kind, n)
+            c = crosscut_complex(fc, fc.facets)
             groups = homology.reduced_homology(c, max(c.dim, 0))
             rota = sum((-1) ** k * g.rank for k, g in enumerate(groups))
             assert mu == rota, (kind.label(), n)

@@ -22,7 +22,7 @@ from crosscut.families import (
     PAIRWISE_COPRIME, PRIMITIVE, PRODUCT_FREE, s_multiple,
 )
 from crosscut.homology import HomologyGroup, reduced_homology
-from crosscut.lattice import FamilyLattice, crosscut_complex, is_crosscut
+from crosscut.lattice import crosscut_complex, is_crosscut
 from crosscut.numthy import chebyshev_primes
 
 import oracles
@@ -236,15 +236,15 @@ ROUTES += [
 ]
 
 
-_lattice = cache(FamilyLattice)
+_face_complex = cache(face_complex)
 
 
-def _crosscut_candidates(lat, seed):
+def _crosscut_candidates(kind, n):
     """The coatoms, every rank level, and 20 random maximal antichains of the
     members above the bottom; callers keep those that are cross-cuts."""
-    above, rng = lat.members[1:], random.Random(seed)
-    yield lat.coatoms()
-    yield from ([m for m in above if m.bit_count() == k] for k in range(1, lat.n + 1))
+    above, rng = families.members(kind, n)[1:], random.Random(f"{kind.label()} {n}")
+    yield list(_face_complex(kind, n).facets)
+    yield from ([m for m in above if m.bit_count() == k] for k in range(1, n + 1))
     for _ in range(20):
         chosen = []
         for m in rng.sample(above, len(above)):
@@ -253,9 +253,14 @@ def _crosscut_candidates(lat, seed):
         yield sorted(chosen)
 
 
+# test_acceptance.ALL_KINDS with s in {None, 2, 3}, n = 1..7, and each candidate
+_CUTS = [(kind, n, cut) for kind in ALL_KINDS if kind.s in (None, 2, 3) for n in range(1, 8)
+         for cut in _crosscut_candidates(kind, n)]
+
+
 def _crosscut_faces(kind, n, cut):
     faces = set()
-    for f in crosscut_complex(_lattice(kind, n), cut).facets:
+    for f in crosscut_complex(_face_complex(kind, n), cut).facets:
         g = f
         while g:
             faces.add(g)
@@ -268,18 +273,25 @@ ROUTES += [
           lambda kind, n: families.count_triangle(kind, n).alternating_sum(n),
           lambda kind, n: sum((-1) ** k * c for k, c in enumerate(oracles.counts_by_size(kind.name, n, kind.s))),
           [(kind, n) for kind in SMALL_KINDS for n in range(1, 11)]),
-    # test_acceptance.ALL_KINDS, n = 1..7, each candidate of 1 to 12 members that is a cross-cut
+    Route("test_lattice::test_is_crosscut_matches_chain_enumeration",
+          lambda kind, n, cut: is_crosscut(_face_complex(kind, n), cut),
+          lambda kind, n, cut: oracles.is_crosscut_by_chains(_face_complex(kind, n).facets, cut),
+          _CUTS),
+    # the candidates of 1 to 12 members that are cross-cuts
     Route("test_lattice::test_crosscut_complex_matches_literal_definition",
           _crosscut_faces,
           lambda kind, n, cut: oracles.crosscut_complex_by_subsets(kind.name, n, cut, kind.s),
-          [(kind, n, cut) for kind in ALL_KINDS if kind.s in (None, 2, 3) for n in range(1, 8)
-           for cut in _crosscut_candidates(_lattice(kind, n), f"{kind.label()} {n}")
-           if 0 < len(cut) <= 12 and is_crosscut(_lattice(kind, n), cut)],
+          [(kind, n, cut) for kind, n, cut in _CUTS
+           if 0 < len(cut) <= 12 and is_crosscut(_face_complex(kind, n), cut)],
           least=501),
+    # face complexes, and complexes past the 2^n guard: the reduced coprime-free
+    # model to n = 200 and the coprime-free clique complex to n = 100
     Route("test_lattice::test_crosscut_complex_equals_nerve_of_coatoms",
-          lambda kind, n: nerve(_lattice(kind, n).coatoms()),
-          lambda kind, n: crosscut_complex(_lattice(kind, n), _lattice(kind, n).coatoms()),
-          [(kind, n) for kind in SMALL_KINDS for n in range(2, 7)]),
+          lambda c: nerve(c.facets),
+          lambda c: crosscut_complex(c, c.facets),
+          [(_face_complex(kind, n),) for kind in SMALL_KINDS for n in range(2, 7)]
+          + [(coprime_free_collapsed(n),) for n in range(25, 201, 25)]
+          + [(SimplicialComplex(families.maximal_members(COPRIME_FREE, n)),) for n in (30, 60, 100)]),
 ]
 
 
