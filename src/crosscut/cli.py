@@ -207,7 +207,8 @@ def cmd_homology(
     guard: int = ENUMERATION_GUARD,
 ) -> tuple[int, str]:
     """Reduced homology of the family's face complex, collapsed by default; the
-    coprime-free family uses the direct reduced model, past the guard to SCAN_LIMIT."""
+    coprime-free family uses the direct reduced model, past the guard to SCAN_LIMIT,
+    reports its size and eliminates its strong collapse, which has the same H~."""
     if d_max < 0:
         raise ValueError("need --dmax >= 0")
     if d_max.bit_length() > guard:  # d_max + 1 > 2^guard rows, refused before any is built
@@ -216,13 +217,14 @@ def cmd_homology(
         if n > SCAN_LIMIT:
             raise ValueError(f"coprime-free homology limited to n <= {SCAN_LIMIT}")
         c = coprime_free_collapsed(n)
+        core = strong_collapse(c)
     else:
-        c = face_complex(kind, n, guard)
+        c = core = face_complex(kind, n, guard)
         if collapse:
-            c = strong_collapse(c)
+            c = core = strong_collapse(c)
     rows = [
         (d, g.rank, _torsion_cell(g.torsion))
-        for d, g in enumerate(reduced_homology(c, d_max))
+        for d, g in enumerate(reduced_homology(core, d_max))
     ]
     record = OutputRecord(
         "homology",

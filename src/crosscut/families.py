@@ -197,9 +197,7 @@ def s_multiple(s: int) -> FamilyKind:
 FAMILY_NAMES = tuple(sorted(_RULES))
 
 
-def kind_from_name(name: str, s: int | None = None) -> FamilyKind:
-    """CLI-facing constructor: smultiple requires s, the others forbid it."""
-    return FamilyKind(name, s)
+kind_from_name = FamilyKind  # the CLI-facing name: smultiple requires s, the others forbid it
 
 
 _shared_rule = cache(lambda kind, n: _RULES[kind.name](kind, range(1, n + 1)))
@@ -287,7 +285,6 @@ def members(kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD, avoid: int
 class CountTriangle(NamedTuple):
     """Counts by cardinality: rows[n-1][k] members of size k within 2^[n]."""
 
-    family: FamilyKind
     n_max: int
     rows: tuple[tuple[int, ...], ...]
 
@@ -342,7 +339,7 @@ def count_triangle(kind: FamilyKind, n_max: int, guard: int = ENUMERATION_GUARD)
         for _ in range(sum(p <= n for p in free)):
             row = [a + b for a, b in zip(row, [0, *row[:-1]])]
         rows.append(tuple(row[: n + 1]))
-    return CountTriangle(kind, n_max, tuple(rows))
+    return CountTriangle(n_max, tuple(rows))
 
 
 def _maximal_masks(masks: list[int], n: int) -> list[int]:

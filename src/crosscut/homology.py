@@ -159,14 +159,9 @@ def reduced_homology(c: SimplicialComplex, d_max: int) -> list[HomologyGroup]:
         raise EnumerationGuardError(f"d_max {d_max} asks for {d_max + 1} rows, over 2^{ENUMERATION_GUARD}")
     top = min(d_max, c.dim)  # the rows above have no faces: 0, with no elimination
     levels = [[0], *faces_by_dimension(c, top + 1)]  # levels[d + 1] holds the d-faces
-    ranks: list[int] = []
-    chains: list[tuple[int, ...]] = []
-    for d in range(top + 2):
-        pivots = _pivot_values(_boundary(levels[d], levels[d + 1]))
-        ranks.append(len(pivots))
-        chains.append(_divisibility_chain(pivots))
+    pivots = [_pivot_values(_boundary(levels[d], levels[d + 1])) for d in range(top + 2)]
     out = [HomologyGroup(0)] * (d_max + 1)
     for d in range(top + 1):
-        rank = len(levels[d + 1]) - ranks[d] - ranks[d + 1]
-        out[d] = HomologyGroup(rank, tuple(v for v in chains[d + 1] if v > 1))
+        rank = len(levels[d + 1]) - len(pivots[d]) - len(pivots[d + 1])
+        out[d] = HomologyGroup(rank, tuple(v for v in _divisibility_chain(pivots[d + 1]) if v > 1))
     return out

@@ -26,14 +26,11 @@ class FamilyLattice:
     cross-cuts need only the face complex."""
 
     def __init__(self, kind: FamilyKind, n: int, guard: int = ENUMERATION_GUARD):
-        self.kind = kind
-        self.n = n
         self.members: list[int] = families.members(kind, n, guard)
-        self._masks = set(self.members)
         self.bottom = self.members[0]
 
     def is_element(self, x) -> bool:
-        return type(x) is int and (x == TOP or x in self._masks)  # no bool or float
+        return type(x) is int and (x == TOP or x in self.members)  # no bool or float
 
     def leq(self, x, y) -> bool:
         return x & ~y == 0
@@ -55,7 +52,7 @@ def mobius(lat: FamilyLattice, x, y) -> int:
     if y != TOP:
         return -1 if (y.bit_count() - x.bit_count()) & 1 else 1
     k = x.bit_count()
-    return -sum(-1 if (m.bit_count() - k) & 1 else 1 for m in lat._masks if x & ~m == 0)
+    return -sum(-1 if (m.bit_count() - k) & 1 else 1 for m in lat.members if x & ~m == 0)
 
 
 def is_crosscut(c: SimplicialComplex, cut) -> bool:

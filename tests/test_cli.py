@@ -27,6 +27,9 @@ from crosscut.families import kind_from_name
 from crosscut.homology import HomologyGroup, reduced_homology
 
 import oracles
+from test_routes import bind
+
+bind(globals())  # this module's routes and their references are rows of test_routes.ROUTES
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data" / "oeis"
@@ -110,6 +113,20 @@ def test_altsum_pre_domain_rows_are_na():
     assert all(line.endswith(",pass") for line in lines[2:-1])
 
 
+def test_altsum_failing_rows(monkeypatch, capsys):
+    # no stated constant fails today, so one is made to fail at n = 3
+    expected = cli._alt_expected
+    monkeypatch.setattr(cli, "_alt_expected", lambda kind, n: expected(kind, n) + (n == 3))
+    code, text = cmd_altsum(PRIMITIVE, 2, 4)
+    assert code == 1
+    assert text.splitlines() == [
+        "n,alt_sum,expected,status", "2,-1,-1,pass", "3,-1,0,fail", "4,-1,-1,pass",
+        "# 1 of 3 rows disagree with the stated constant", "# verdict: fail",
+    ]
+    assert main("altsum --family primitive --n-from 2 --n-to 4".split()) == 1
+    assert capsys.readouterr().out == text + "\n"
+
+
 def test_altsum_empirical_stabilization():
     code, text = cmd_altsum(kind_from_name("divisibilitychain"), 1, 10)
     assert code == 0
@@ -153,6 +170,19 @@ def test_homology_collapsed_coprimefree():
     lines = text.splitlines()
     assert lines[1:4] == ["0,2,-", "1,0,-", "2,0,-"]
     assert lines[4] == "# complex has 4 vertices and 3 facets"
+
+
+def test_homology_coprimefree_143_dmax_3_is_quick():
+    # the reduced model's d_4 (7328 x 22836) took minutes to eliminate; its strong
+    # collapse has the same H~ and its boundaries are tiny. The comment still
+    # reports the model
+    args = [sys.executable, "-m", "crosscut.cli", *"homology --family coprimefree --n 143 --dmax 3".split()]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(args, capture_output=True, text=True, env=env, timeout=20)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == [
+        "d,rank,torsion", "0,15,-", "1,0,-", "2,1,-", "3,0,-", "# complex has 51 vertices and 39 facets",
+    ]
 
 
 def test_homology_collapse_flag_preserves_ranks():
@@ -410,6 +440,11 @@ def test_main_usage_errors_exit_two(capsys):
     assert main(["homology", "--family", "coprimefree", "--n", "0"]) == 2
     assert "error: need n >= 1, got 0" in capsys.readouterr().err
     assert main(["scan-h2", "--n-to", "500"]) == 2
+    for command in ("altsum --family primitive", "scan-h2"):
+        assert main([*command.split(), "--n-from", "5", "--n-to", "4"]) == 2
+        assert "error: need 1 <= --n-from <= --n-to" in capsys.readouterr().err
+    assert main(["homology", "--family", "primitive", "--n", "4", "--dmax", "-1"]) == 2
+    assert "error: need --dmax >= 0" in capsys.readouterr().err
     assert main([]) == 2
     capsys.readouterr()
 

@@ -6,6 +6,7 @@ names the row and the case. A new route adds a row test_routes::test_<route>.
 Where a filter picks a row's cases, `least` is the fewest it may pick."""
 
 import importlib
+import json
 import random
 from collections import namedtuple
 from functools import cache
@@ -14,6 +15,7 @@ from itertools import product
 import pytest
 
 from crosscut import families, homology
+from crosscut.cli import cmd_homology
 from crosscut.complexes import (
     SimplicialComplex, coprime_free_collapsed, face_complex, faces_by_dimension, nerve, strong_collapse,
 )
@@ -233,6 +235,12 @@ ROUTES += [
             lambda kind, n: [[g.rank for g in reduced_homology(c, _top(c))] for c in _with_collapse(kind, n)],
             _ranks_by_fractions, [(kind, n) for n in range(1, 9)])
       for kind in ALL_KINDS),
+    # the command eliminates the strong collapse of the reduced model, not the model
+    Route("test_cli::test_homology_coprimefree_matches_reduced_model",
+          lambda n: json.loads(cmd_homology(COPRIME_FREE, n, 2, fmt="json")[1])["rows"],
+          lambda n: [[d, g.rank, "x".join(map(str, g.torsion)) or "-"]
+                     for d, g in enumerate(reduced_homology(coprime_free_collapsed(n), 2))],
+          [(n,) for n in range(1, 61)]),
 ]
 
 
